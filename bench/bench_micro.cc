@@ -1123,62 +1123,5 @@ void BM_MixedReadWriteRebuild(benchmark::State& state) {
 }
 BENCHMARK(BM_MixedReadWriteRebuild);
 
-// Headline pairs for the shard layer (src/shard/): the same query
-// through the full facade against a 4-way partition (per-shard fixpoints
-// with frontier exchange for the closure, driver fan-out + union for the
-// join) and against unsharded storage — identical results by the layer's
-// invariant, so the ratio isolates pure layout/exchange cost. Compare
-// within one BENCH_micro.json via bench_diff.py.
-void ShardedFacadeQuery(benchmark::State& state, int shards,
-                        const char* query) {
-  api::Database db(YagoSchema(), GenerateYago({.persons = 300, .seed = 7}));
-  db.set_shards(shards);
-  api::ExecOptions options;
-  options.timeout_ms = 0;
-  options.apply_schema_rewrite = false;  // keep one plan shape per query
-  api::Session session(db, options);
-  // Warm outside the loop: snapshot + partition build and the plan-cache
-  // entry are one-time costs; the loop measures execution.
-  auto warm = session.Query(query);
-  if (!warm.ok()) {
-    state.SkipWithError(warm.status().ToString().c_str());
-    return;
-  }
-  for (auto _ : state) {
-    auto result = session.Query(query);
-    if (!result.ok()) {
-      state.SkipWithError(result.status().ToString().c_str());
-      return;
-    }
-    benchmark::DoNotOptimize(result->rows());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-
-constexpr const char* kShardClosureQuery =
-    "x1, x2 <- (x1, isMarriedTo+, x2)";
-constexpr const char* kShardJoinQuery =
-    "x1, x2 <- (x1, owns/isLocatedIn, x2)";
-
-void BM_ShardedClosure(benchmark::State& state) {
-  ShardedFacadeQuery(state, /*shards=*/4, kShardClosureQuery);
-}
-BENCHMARK(BM_ShardedClosure);
-
-void BM_UnshardedClosure(benchmark::State& state) {
-  ShardedFacadeQuery(state, /*shards=*/1, kShardClosureQuery);
-}
-BENCHMARK(BM_UnshardedClosure);
-
-void BM_ShardedJoin(benchmark::State& state) {
-  ShardedFacadeQuery(state, /*shards=*/4, kShardJoinQuery);
-}
-BENCHMARK(BM_ShardedJoin);
-
-void BM_UnshardedJoin(benchmark::State& state) {
-  ShardedFacadeQuery(state, /*shards=*/1, kShardJoinQuery);
-}
-BENCHMARK(BM_UnshardedJoin);
-
 }  // namespace
 }  // namespace gqopt

@@ -13,7 +13,6 @@
 #include "ra/optimizer.h"
 #include "ra/ucqt_to_ra.h"
 #include "schema/schema_parser.h"
-#include "shard/sharded_executor.h"
 #include "util/fault_injection.h"
 
 namespace gqopt {
@@ -140,15 +139,13 @@ Snapshot::Snapshot(uint64_t generation, uint64_t data_generation,
                    GraphSchema schema,
                    std::shared_ptr<const PropertyGraph> graph,
                    std::shared_ptr<const Catalog> base_catalog,
-                   inc::SealedDeltaPtr delta,
-                   shard::ShardedGraphPtr sharded)
+                   inc::SealedDeltaPtr delta)
     : generation_(generation),
       data_generation_(data_generation),
       schema_(std::move(schema)),
       graph_(std::move(graph)),
       base_catalog_(std::move(base_catalog)),
-      delta_(std::move(delta)),
-      sharded_(std::move(sharded)) {
+      delta_(std::move(delta)) {
   if (delta_ != nullptr && !delta_->empty()) {
     overlay_ = std::make_unique<const Catalog>(base_catalog_.get(), delta_);
   }
@@ -164,30 +161,8 @@ std::string PreparedQuery::Explain() const {
     return StaleMessage("stale prepared query ", now, generation_,
                         "; re-prepare\n");
   }
-  std::string out;
-  if (const shard::ShardedGraph* sg = snapshot_->sharded()) {
-    out.append("[shards=");
-    out.append(std::to_string(sg->shards()));
-    out.append(" policy=");
-    out.append(shard::ShardPolicyName(sg->policy()));
-    out.append("]\n");
-  }
-  out.append(ExplainPlan(plan_, snapshot_->catalog()));
-  return out;
+  return ExplainPlan(plan_, snapshot_->catalog());
 }
-
-namespace {
-
-/// Whether this execution should run through the sharded executor: the
-/// snapshot carries a partition and the session did not force sharding
-/// off (shards 0 or 1). A session value >= 2 does not re-partition — K
-/// is the database's; the option only gates participation.
-bool UseSharded(const Snapshot& snap, const ExecOptions& options) {
-  return snap.sharded() != nullptr && options.shards != 0 &&
-         options.shards != 1;
-}
-
-}  // namespace
 
 Result<std::string> PreparedQuery::ExplainAnalyze(
     const Session& session) const {
@@ -214,45 +189,15 @@ Result<std::string> PreparedQuery::ExplainAnalyze(
   }
   try {
     Executor executor(snap->catalog());
-    std::unique_ptr<shard::ShardedExecutor> sharded;
-    if (UseSharded(*snap, session.options())) {
-      sharded = std::make_unique<shard::ShardedExecutor>(
-          snap->catalog(), *snap->sharded(), snap->delta().get());
-    }
     MemoryTracker query_mem(session.options().mem_limit_bytes, "query",
                             &db_->mem_, /*probe_faults=*/true);
     ExecContext ctx = session.options().MakeExecContext();
     ctx.mem = &query_mem;
-    auto table = sharded != nullptr ? sharded->Run(plan_, ctx)
-                                    : executor.Run(plan_, ctx);
+    auto table = executor.Run(plan_, ctx);
     if (!table.ok()) return StageError(QueryStage::kExecute, table.status());
-    const Executor& ran = sharded != nullptr ? sharded->main() : executor;
     std::string out =
         ExplainPlanAnalyze(plan_, snap->catalog(),
-                           ran.actual_rows(), &ran.actual_bytes());
-    if (sharded != nullptr) {
-      const shard::ShardedGraph* sg = snap->sharded();
-      out.append("[shards=");
-      out.append(std::to_string(sg->shards()));
-      out.append(" policy=");
-      out.append(shard::ShardPolicyName(sg->policy()));
-      if (!sharded->driver_label().empty()) {
-        out.append(" driver=");
-        out.append(sharded->driver_label());
-      }
-      if (sharded->exchanged_pairs() > 0) {
-        out.append(" exchanged=");
-        out.append(std::to_string(sharded->exchanged_pairs()));
-      }
-      out.append("]\n");
-      for (size_t k = 0; k < sharded->shard_core_rows().size(); ++k) {
-        out.append("  shard ");
-        out.append(std::to_string(k));
-        out.append(": rows=");
-        out.append(std::to_string(sharded->shard_core_rows()[k]));
-        out.append("\n");
-      }
-    }
+                           executor.actual_rows(), &executor.actual_bytes());
     out.append("(");
     out.append(std::to_string(table->rows()));
     out.append(" result rows, peak memory ");
@@ -302,11 +247,6 @@ Result<QueryResult> PreparedQuery::Execute(const Session& session,
   }
   try {
     Executor executor(snap->catalog());
-    std::unique_ptr<shard::ShardedExecutor> sharded;
-    if (UseSharded(*snap, session.options())) {
-      sharded = std::make_unique<shard::ShardedExecutor>(
-          snap->catalog(), *snap->sharded(), snap->delta().get());
-    }
     // Per-query budget, child of the Database-wide root: the run charges
     // against both its own limit and the shared server ceiling, and the
     // reservation flows back to the root when the tracker dies.
@@ -316,16 +256,14 @@ Result<QueryResult> PreparedQuery::Execute(const Session& session,
     ctx.deadline = deadline;
     ctx.mem = &query_mem;
     double start = Now();
-    auto table = sharded != nullptr ? sharded->Run(plan_, ctx)
-                                    : executor.Run(plan_, ctx);
+    auto table = executor.Run(plan_, ctx);
     double elapsed = Now() - start;
     if (!table.ok()) return StageError(QueryStage::kExecute, table.status());
-    const Executor& ran = sharded != nullptr ? sharded->main() : executor;
     QueryResult result;
     result.table = std::move(table).value();
     result.exec_seconds = elapsed;
-    result.plan_operators = ran.actual_rows().size();
-    for (const auto& [node, rows] : ran.actual_rows()) {
+    result.plan_operators = executor.actual_rows().size();
+    for (const auto& [node, rows] : executor.actual_rows()) {
       result.rows_processed += rows;
     }
     result.mem_peak_bytes = query_mem.peak();
@@ -364,7 +302,6 @@ Database::Database(GraphSchema schema, PropertyGraph graph)
       plan_drift_threshold_.store(value, std::memory_order_relaxed);
     }
   }
-  shard_spec_ = shard::ShardSpec::FromEnv();
 }
 
 Result<std::unique_ptr<Database>> Database::Open(
@@ -435,17 +372,9 @@ SnapshotPtr Database::BuildSnapshotLocked() const {
   // it) and the result is published with two pointer stores.
   inc::SealedDeltaPtr seal;
   if (!delta_.empty()) seal = delta_.Seal();
-  // Partition the frozen base when sharding is on. Cached across
-  // publications (delta appends and statistics refreshes leave the base
-  // bytes untouched); a budget breach leaves the slot null and the
-  // snapshot serves unsharded — bit-identical, just unsplit.
-  if (shard_spec_.active() && base_sharded_ == nullptr) {
-    base_sharded_ = shard::ShardedGraph::Build(*base_graph_, shard_spec_,
-                                               &mem_);
-  }
   auto built = std::make_shared<const Snapshot>(
       generation(), data_generation(), schema_, base_graph_, base_catalog_,
-      std::move(seal), base_sharded_);
+      std::move(seal));
   std::lock_guard<std::mutex> lock(publish_mu_);
   last_snapshot_ = built;
   snapshot_ = built;
@@ -459,7 +388,6 @@ void Database::MutatedLocked() {
   generation_.fetch_add(1, std::memory_order_acq_rel);
   base_graph_.reset();
   base_catalog_.reset();
-  base_sharded_.reset();
   // Whatever was pending described the state being replaced.
   delta_.DiscardPending();
   {
@@ -558,11 +486,9 @@ Status Database::CompactLocked() {
   }
   delta_.ClearAfterCompaction();
   // The master changed: drop the frozen base (the next snapshot
-  // re-freezes the compacted graph) and retire the publication. The
-  // shard partition covered the pre-compaction base, so it goes too.
+  // re-freezes the compacted graph) and retire the publication.
   base_graph_.reset();
   base_catalog_.reset();
-  base_sharded_.reset();
   DataMutatedLocked();
   return Status::OK();
 }
@@ -624,29 +550,6 @@ void Database::set_delta_merge_rows(size_t rows) {
 void Database::set_plan_drift_threshold(double threshold) {
   plan_drift_threshold_.store(threshold < 1.0 ? 1.0 : threshold,
                               std::memory_order_relaxed);
-}
-
-void Database::set_shards(int shards, shard::ShardPolicy policy) {
-  std::lock_guard<std::mutex> lock(state_mu_);
-  shard::ShardSpec spec;
-  spec.shards = std::clamp(shards, 1, shard::kMaxShards);
-  spec.policy = policy;
-  if (spec.shards == shard_spec_.shards && spec.policy == shard_spec_.policy) {
-    return;
-  }
-  shard_spec_ = spec;
-  base_sharded_.reset();
-  // Retire the publication like RefreshStatistics: same data, same
-  // generations — handles and cached plans keep serving, only the next
-  // snapshot carries the new partition.
-  std::lock_guard<std::mutex> publish_lock(publish_mu_);
-  snapshot_.reset();
-  last_snapshot_.reset();
-}
-
-shard::ShardSpec Database::shard_spec() const {
-  std::lock_guard<std::mutex> lock(state_mu_);
-  return shard_spec_;
 }
 
 void Database::RefreshStatistics() {
@@ -821,14 +724,6 @@ Result<PreparedQueryPtr> Database::PrepareImpl(const std::string& key,
       OptimizePlan(plan.value(), snap->catalog(), options.ToOptimizerOptions());
   prepared->estimated_memory_bytes_ =
       EstimatePlanMemory(prepared->plan_, snap->catalog());
-  // Shard-parallel execution holds per-shard partial results alive at once
-  // before the union; pad the admission estimate so the server's ceiling
-  // reflects the fan-out (K shards ≈ one extra copy of the working set,
-  // amortized across shards).
-  if (const shard::ShardedGraph* sg = snap->sharded()) {
-    prepared->estimated_memory_bytes_ +=
-        prepared->estimated_memory_bytes_ / sg->shards();
-  }
   CollectEdgeScanLabels(prepared->plan_.get(), snap->catalog().stats(),
                         &prepared->planned_label_rows_);
 

@@ -49,7 +49,6 @@
 #include "ra/ra_expr.h"
 #include "ra/table.h"
 #include "schema/graph_schema.h"
-#include "shard/sharded_graph.h"
 #include "util/deadline.h"
 #include "util/mem_tracker.h"
 #include "util/status.h"
@@ -105,8 +104,7 @@ class Snapshot {
   Snapshot(uint64_t generation, uint64_t data_generation, GraphSchema schema,
            std::shared_ptr<const PropertyGraph> graph,
            std::shared_ptr<const Catalog> base_catalog,
-           inc::SealedDeltaPtr delta,
-           shard::ShardedGraphPtr sharded = nullptr);
+           inc::SealedDeltaPtr delta);
   Snapshot(const Snapshot&) = delete;
   Snapshot& operator=(const Snapshot&) = delete;
 
@@ -125,11 +123,6 @@ class Snapshot {
   }
   /// The sealed pending delta, or null when none existed at build time.
   const inc::SealedDeltaPtr& delta() const { return delta_; }
-  /// The K-way sharded storage over the base graph (src/shard/), or null
-  /// when sharding is off (or its build degraded on a budget breach).
-  /// Pending delta rows are NOT partitioned here — the sharded executor
-  /// routes them per query through the partitioner.
-  const shard::ShardedGraph* sharded() const { return sharded_.get(); }
 
  private:
   uint64_t generation_;
@@ -138,7 +131,6 @@ class Snapshot {
   std::shared_ptr<const PropertyGraph> graph_;
   std::shared_ptr<const Catalog> base_catalog_;
   inc::SealedDeltaPtr delta_;
-  shard::ShardedGraphPtr sharded_;
   std::unique_ptr<const Catalog> overlay_;  // built iff delta non-empty
 };
 
@@ -391,17 +383,6 @@ class Database {
   /// of serving (default 2.0; must be >= 1). Overrides GQOPT_PLAN_DRIFT.
   void set_plan_drift_threshold(double threshold);
 
-  /// Switches the database to K-way sharded storage (src/shard/) under
-  /// `policy`; K <= 1 turns sharding off. Overrides GQOPT_SHARDS /
-  /// GQOPT_SHARD_POLICY. Retires the publication (the next snapshot
-  /// partitions the base graph); generations, cached plans, and
-  /// outstanding handles are untouched — sharding is an execution layout
-  /// only and never changes a result.
-  void set_shards(int shards,
-                  shard::ShardPolicy policy = shard::ShardPolicy::kHash);
-  /// The current sharding configuration.
-  shard::ShardSpec shard_spec() const;
-
   /// Retires the published snapshot so statistics re-collect from the
   /// current graph. The generation is unchanged and — unlike a mutation
   /// — BOTH outstanding handles and cached plan entries stay valid: only
@@ -512,13 +493,6 @@ class Database {
   inc::DeltaStore delta_;
   mutable std::shared_ptr<const PropertyGraph> base_graph_;
   mutable std::shared_ptr<const Catalog> base_catalog_;
-  // Sharded storage over the frozen base (guarded by state_mu_ like the
-  // base slots): built lazily at snapshot build when the spec is active,
-  // reset whenever the base content changes (compaction, legacy
-  // mutation, Use) or the spec does — kept across delta appends and
-  // statistics refreshes, which leave the base bytes untouched.
-  shard::ShardSpec shard_spec_;
-  mutable shard::ShardedGraphPtr base_sharded_;
   // Read on the lock-free Prepare path; relaxed ordering is fine (any
   // recent value yields a correct plan).
   std::atomic<double> plan_drift_threshold_{2.0};

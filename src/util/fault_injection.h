@@ -58,16 +58,9 @@ enum class FaultPoint : uint8_t {
   /// before the base graph is touched — pending rows stay in the delta
   /// and the next compaction retries ("delta-merge" in GQOPT_FAULTS).
   kDeltaMerge,
-  /// Frontier exchange between shards inside a sharded transitive
-  /// closure (src/shard/): kDeadline aborts the closure with a typed
-  /// "deadline: " status naming the exchange, kAlloc forces the
-  /// exchange buffers' allocation to fail — the query surfaces a
-  /// retryable "resource: " status and the shard storage stays intact
-  /// ("shard-exchange" in GQOPT_FAULTS).
-  kShardExchange,
 };
 
-inline constexpr size_t kNumFaultPoints = 11;
+inline constexpr size_t kNumFaultPoints = 10;
 
 /// What happens when an armed point is reached.
 enum class FaultKind : uint8_t {

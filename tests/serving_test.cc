@@ -14,6 +14,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <future>
 #include <optional>
 #include <string>
 #include <thread>
@@ -25,6 +26,7 @@
 #include "util/fault_injection.h"
 #include "util/rng.h"
 #include "util/status.h"
+#include "util/thread_pool.h"
 
 namespace gqopt {
 namespace api {
@@ -364,9 +366,7 @@ TEST(ServingMutationTest, DeltaMutateQueryStormUnderMergeFaults) {
 
 // ---- Shedding and the degradation ladder -----------------------------------
 
-// A chain graph whose transitive closure takes real time: the occupier
-// thread keeps the single-slot queue busy so admission control and the
-// pressure ladder engage deterministically enough to observe.
+// A chain graph: `nodes` "Node" vertices linked by `nodes - 1` "next" edges.
 std::unique_ptr<Database> ChainDb(int nodes) {
   auto db = std::make_unique<Database>();
   for (int i = 0; i < nodes; ++i) db->AddNode("Node");
@@ -378,58 +378,73 @@ std::unique_ptr<Database> ChainDb(int nodes) {
 
 TEST(ServingShedTest, FullQueueShedsWithTypedOverloadedStatus) {
   FaultGuard faults;
-  auto db = ChainDb(600);
-  ExecOptions slow;
-  slow.apply_schema_rewrite = false;  // the chain db has no schema
-  slow.timeout_ms = 0;
-  ExecOptions cheap = slow;
+  auto db = ChainDb(4097);
+  ExecOptions cheap;
+  cheap.apply_schema_rewrite = false;  // the chain db has no schema
+  cheap.timeout_ms = 0;
+  cheap.dop = 1;
+  // The held request projects all 4096 edges at dop 2: a parallel
+  // projection over several morsels on the shared pool.
+  ExecOptions held = cheap;
+  held.dop = 2;
+  held.parallel_min_rows = 1;
 
   ServerOptions server_options;
   server_options.workers = 1;
   server_options.queue_capacity = 1;
   Server server(*db, server_options);
 
-  std::atomic<bool> stop{false};
-  std::thread occupier([&] {
-    while (!stop.load(std::memory_order_acquire)) {
-      server.Query("x1, x2 <- (x1, next+, x2)", slow);
-    }
-  });
-
-  // While a slow closure occupies the only queue slot, EXPLAIN through
-  // the serving layer reports the ladder at work and a cheap query sheds
-  // with the typed, retryable "overloaded: " status.
-  bool observed_shed = false;
-  bool observed_degraded_explain = false;
-  for (int attempt = 0; attempt < 200 && !observed_shed; ++attempt) {
-    if (server.queue_depth() < 1) {
-      std::this_thread::yield();
-      continue;
-    }
-    if (!observed_degraded_explain) {
-      auto explained = server.Explain("x1, x2 <- (x1, next, x2)", cheap);
-      if (explained.ok() &&
-          explained->find("degradation: greedy-planner") !=
-              std::string::npos) {
-        observed_degraded_explain = true;
-      }
-    }
-    auto response = server.Query("x1, x2 <- (x1, next, x2)", cheap);
-    if (!response.result.ok()) {
-      const Status& status = response.result.status();
-      EXPECT_TRUE(status.message().starts_with("overloaded: "))
-          << status.ToString();
-      EXPECT_EQ(ClassifyError(status), QueryStage::kOverloaded);
-      EXPECT_TRUE(Server::IsRetryable(status));
-      observed_shed = true;
-    }
+  // Park every shared-pool worker behind a latch. ParallelFor's caller
+  // runs every morsel itself and then waits for the helper task it
+  // queued, which no worker can start until the latch opens — so the
+  // held request keeps the single queue slot by construction, not by
+  // timing. (The tasks hold their own copy of the future, so they may
+  // outlive this test body.)
+  std::promise<void> release;
+  std::shared_future<void> latch = release.get_future().share();
+  ThreadPool& shared_pool = ThreadPool::Shared();
+  for (size_t i = 0; i < shared_pool.size(); ++i) {
+    shared_pool.Submit([latch] { latch.wait(); });
   }
-  stop.store(true, std::memory_order_release);
+
+  std::atomic<bool> held_done{false};
+  Server::Response held_response;
+  std::thread occupier([&] {
+    held_response = server.Query("x2 <- (x1, next, x2)", held);
+    held_done.store(true, std::memory_order_release);
+  });
+  // Admission is the occupier's first step; once counted, the slot stays
+  // taken until the latch opens.
+  while (server.queue_depth() < 1 &&
+         !held_done.load(std::memory_order_acquire)) {
+    std::this_thread::yield();
+  }
+
+  // With the only slot held, EXPLAIN through the serving layer reports
+  // the ladder at work and a cheap query sheds with the typed, retryable
+  // "overloaded: " status. No assertion may return before the latch
+  // opens, or the parked workers would never finish.
+  auto explained = server.Explain("x1, x2 <- (x1, next, x2)", cheap);
+  Server::Response response = server.Query("x1, x2 <- (x1, next, x2)", cheap);
+  const bool still_held = !held_done.load(std::memory_order_acquire);
+  release.set_value();
   occupier.join();
 
-  EXPECT_TRUE(observed_shed);
-  EXPECT_TRUE(observed_degraded_explain);
+  EXPECT_TRUE(still_held) << "the held request finished before release";
+  ASSERT_TRUE(explained.ok()) << explained.status().ToString();
+  EXPECT_NE(explained->find("degradation: greedy-planner"), std::string::npos)
+      << *explained;
+  ASSERT_FALSE(response.result.ok());
+  const Status& status = response.result.status();
+  EXPECT_TRUE(status.message().starts_with("overloaded: "))
+      << status.ToString();
+  EXPECT_EQ(ClassifyError(status), QueryStage::kOverloaded);
+  EXPECT_TRUE(Server::IsRetryable(status));
   EXPECT_GE(server.stats().shed_queue_full, 1u);
+  // Released, the held request completes normally.
+  ASSERT_TRUE(held_response.result.ok())
+      << held_response.result.status().ToString();
+  EXPECT_EQ(held_response.result->rows(), 4096u);
 }
 
 TEST(DegradationTest, PressureLevels) {
@@ -677,11 +692,6 @@ TEST(ServingStormTest, MemoryStormUnderSmallServerBudget) {
   const std::vector<std::vector<NodeId>> light_rows =
       light_result->SortedRows();
 
-  // Standing consumption before the storm: zero unsharded, the partition's
-  // per-shard tracker charges when GQOPT_SHARDS is ambient. Query-transient
-  // reservations must drain back to exactly this figure.
-  const int64_t standing = db.memory().consumed();
-
   int64_t budget = natural_peak / 4;
   if (budget < 1) budget = 1;
   db.set_memory_limit(budget);
@@ -725,10 +735,9 @@ TEST(ServingStormTest, MemoryStormUnderSmallServerBudget) {
   // At a quarter of its own natural peak, the heavy query cannot have
   // sailed through every time.
   EXPECT_GT(heavy_rejections.load(), 0);
-  // The drained storm returned every reservation: the ledger is back to
-  // its standing level, and lifting the ceiling restores full service
-  // with identical rows.
-  EXPECT_EQ(db.memory().consumed(), standing);
+  // The drained storm returned every reservation: the ledger is clean,
+  // and lifting the ceiling restores full service with identical rows.
+  EXPECT_EQ(db.memory().consumed(), 0);
   db.set_memory_limit(0);
   auto after = Session(db, options).Query(kHeavy);
   ASSERT_TRUE(after.ok()) << after.status().ToString();

@@ -45,11 +45,6 @@ PAIRS = [
     # overlay reads and retained plans vs the legacy rebuild-per-write
     # path (catalog + statistics + plans reconstructed on each mutation).
     ("BM_MixedReadWriteDelta", "BM_MixedReadWriteRebuild"),
-    # The shard layer's headline queries: per-shard fixpoints with frontier
-    # exchange (closure) and driver fan-out + union (join) over a 4-way
-    # partition vs the same facade queries against unsharded storage.
-    ("BM_ShardedClosure", "BM_UnshardedClosure"),
-    ("BM_ShardedJoin", "BM_UnshardedJoin"),
 ]
 
 # Pairs whose clients block on the server's worker pool (UseRealTime):

@@ -76,8 +76,6 @@ void PrintHelp() {
       "  mutate edge <src> <label> <tgt>\n"
       "                             insert an edge by endpoint ids\n"
       "  compact                    merge pending delta rows into the base\n"
-      "  shards [K [hash|range]]    show the shard layout, or repartition\n"
-      "                             the base graph into K shards (1 = off)\n"
       "  stress <clients> <reqs> [query]\n"
       "                             concurrent storm through the serving\n"
       "                             layer; reports throughput + shed/\n"
@@ -343,50 +341,6 @@ void DoStress(const api::Database& db, const api::ExecOptions& options,
   }
 }
 
-// shards [K [hash|range]] — report the active shard layout (per-shard
-// edge counts and the crossing-edge total that bounds frontier-exchange
-// traffic), optionally repartitioning first via Database::set_shards.
-void DoShards(api::Database& db, const std::string& rest) {
-  if (!rest.empty()) {
-    auto parts = Split(rest, ' ');
-    int k = static_cast<int>(std::strtol(parts[0].c_str(), nullptr, 10));
-    if (k < 1) {
-      std::puts("usage: shards [K [hash|range]]");
-      return;
-    }
-    shard::ShardPolicy policy = shard::ShardPolicy::kHash;
-    if (parts.size() > 1) {
-      if (parts[1] == "range") {
-        policy = shard::ShardPolicy::kRange;
-      } else if (parts[1] != "hash") {
-        std::puts("usage: shards [K [hash|range]]");
-        return;
-      }
-    }
-    db.set_shards(k, policy);
-  }
-  const shard::ShardedGraph* sharded = db.snapshot()->sharded();
-  if (sharded == nullptr) {
-    std::puts("sharding: off (queries run against unsharded storage)");
-    return;
-  }
-  std::printf("sharding: %d shards, %s policy, %zu crossing edges, %zu "
-              "bytes\n",
-              sharded->shards(), shard::ShardPolicyName(sharded->policy()),
-              sharded->crossing_edges(), sharded->total_bytes());
-  for (int k = 0; k < sharded->shards(); ++k) {
-    const shard::Shard& s = sharded->shard(k);
-    size_t edges = 0;
-    size_t crossing = 0;
-    for (const auto& [label, runs] : s.labels) {
-      edges += runs.forward.size();
-      crossing += runs.crossing.size();
-    }
-    std::printf("  shard %d: %zu edges (%zu crossing, %zu labels)\n", k,
-                edges, crossing, s.labels.size());
-  }
-}
-
 void DoFaults(const std::string& rest) {
   FaultInjector& injector = FaultInjector::Global();
   if (rest.empty()) {
@@ -402,7 +356,7 @@ void DoFaults(const std::string& rest) {
     std::puts(
         "malformed spec; expected point=kind[:every_n],... with points\n"
         "parse|rewrite|plan|execute|snapshot-build|catalog-build|\n"
-        "stats-build|csr-build|mem|delta-merge|shard-exchange and kinds\n"
+        "stats-build|csr-build|mem|delta-merge and kinds\n"
         "deadline|alloc|invalidate");
     return;
   }
@@ -508,8 +462,6 @@ int main() {
       } else {
         std::printf("%s\n", status.ToString().c_str());
       }
-    } else if (command == "shards") {
-      DoShards(db, rest);
     } else if (command == "stress") {
       DoStress(db, session.options(), rest);
     } else if (command == "faults") {

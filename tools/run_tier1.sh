@@ -4,11 +4,12 @@
 #
 # Usage: tools/run_tier1.sh [--no-bench] [--tsan] [--asan] [--topk]
 #
-# GQOPT_DOP (degree of parallelism, default 1) passes through to every
-# test and benchmark binary: executors and closures run their partitioned
-# parallel paths at that dop. Independent of the ambient value, the
-# differential suites run once more at GQOPT_DOP=4 below, so parallel
-# execution is checked for bit-identical results on every tier-1 run.
+# GQOPT_DOP (degree of parallelism; unset, it follows the core count)
+# passes through to every test and benchmark binary: executors and
+# closures run their partitioned parallel paths at that dop. Independent
+# of the ambient value, the differential suites run once more at
+# GQOPT_DOP=4 below, so parallel execution is checked for bit-identical
+# results on every tier-1 run.
 #
 # --tsan builds the concurrency suites under ThreadSanitizer (its own
 # build-tsan/ tree, benches off) and runs them serial and at dop=4: the
@@ -67,14 +68,9 @@ if [[ "$run_tsan" -eq 1 ]]; then
     -DGQOPT_BUILD_BENCHES=OFF -DGQOPT_BUILD_EXAMPLES=OFF
   cmake --build build-tsan -j "$(nproc)"
   ctest --test-dir build-tsan --output-on-failure \
-    -R '(serving|api|delta_differential|parallel_differential|csr_differential|topk_differential|topk_property|shard_differential|thread_pool)_test'
+    -R '(serving|api|delta_differential|parallel_differential|csr_differential|topk_differential|topk_property|thread_pool)_test'
   GQOPT_DOP=4 ctest --test-dir build-tsan --output-on-failure \
-    -R '(serving|parallel_differential|csr_differential|topk_differential|topk_property|shard_differential|thread_pool)_test'
-  # Sharded matrix: every facade query fans out over 4 shards (and the
-  # closure frontier exchange runs its parallel expansion at dop=4) —
-  # the concurrency surface the shard layer adds.
-  GQOPT_SHARDS=4 GQOPT_DOP=4 ctest --test-dir build-tsan --output-on-failure \
-    -R '(serving|api|delta_differential|shard_differential|topk_differential)_test'
+    -R '(serving|parallel_differential|csr_differential|topk_differential|topk_property|thread_pool)_test'
   echo "TSan tier-1 subset passed (build-tsan/)"
   exit 0
 fi
@@ -131,17 +127,6 @@ GQOPT_PLAN_CACHE=1 ctest --test-dir build --output-on-failure \
 # explicitly, which takes precedence over the environment knob.
 GQOPT_DELTA=1 ctest --test-dir build --output-on-failure \
   -R '(inc|delta_differential|api|end_to_end|topk_differential)_test'
-
-# Sharded matrix: the facade + differential suites with a 4-way
-# partition as the ambient default (every Database partitions its base
-# graph, every session inherits). Results must be bit-identical to all
-# the unsharded runs above — sharding is a layout, never an answer
-# change. The second leg layers the delta overlay on top, so pending
-# rows route to their owning shards under every suite.
-GQOPT_SHARDS=4 ctest --test-dir build --output-on-failure \
-  -R '(api|end_to_end|serving|delta_differential|parallel_differential|topk_differential|shard_differential)_test'
-GQOPT_SHARDS=4 GQOPT_DELTA=1 ctest --test-dir build --output-on-failure \
-  -R '(inc|delta_differential|api|end_to_end|shard_differential)_test'
 
 if [[ "$run_bench" -eq 1 ]]; then
   if [[ -x build/bench_micro ]]; then
