@@ -1069,13 +1069,13 @@ BENCHMARK(BM_ClosureTopKFull)->Arg(1024)->Arg(4096);
 // plus a small read mix (flat join, unseeded closure, scan of the
 // written label) per iteration, through the full facade. The delta
 // variant buffers the write, serves base + seal through the overlay and
-// keeps retained plans; the rebuild variant pays the legacy
-// invalidate-everything path — catalog, statistics and plans rebuilt on
-// every write. Compare within one BENCH_micro.json via bench_diff.py.
-void MixedReadWrite(benchmark::State& state, bool delta) {
+// keeps retained plans; the rebuild variant merges every write at once
+// (AddEdge then Compact), so each iteration re-freezes the base,
+// rebuilds catalog and statistics and re-plans. Compare within one
+// BENCH_micro.json via bench_diff.py.
+void MixedReadWrite(benchmark::State& state, bool compact_each_write) {
   api::Database db(YagoSchema(), GenerateYago({.persons = 60, .seed = 3}));
   db.set_plan_cache_enabled(true);
-  db.set_delta_enabled(delta);
   db.set_delta_merge_rows(512);
   api::ExecOptions options;
   options.timeout_ms = 0;
@@ -1095,6 +1095,7 @@ void MixedReadWrite(benchmark::State& state, bool delta) {
     NodeId tgt = static_cast<NodeId>((k / nodes) % nodes);
     ++k;
     Status added = db.AddEdge(src, "bmLink", tgt);
+    if (added.ok() && compact_each_write) added = db.Compact();
     if (!added.ok()) {
       state.SkipWithError(added.ToString().c_str());
       return;
@@ -1114,12 +1115,12 @@ void MixedReadWrite(benchmark::State& state, bool delta) {
 }
 
 void BM_MixedReadWriteDelta(benchmark::State& state) {
-  MixedReadWrite(state, /*delta=*/true);
+  MixedReadWrite(state, /*compact_each_write=*/false);
 }
 BENCHMARK(BM_MixedReadWriteDelta);
 
 void BM_MixedReadWriteRebuild(benchmark::State& state) {
-  MixedReadWrite(state, /*delta=*/false);
+  MixedReadWrite(state, /*compact_each_write=*/true);
 }
 BENCHMARK(BM_MixedReadWriteRebuild);
 

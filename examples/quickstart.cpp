@@ -36,7 +36,9 @@ edge COUNTRY -dealsWith-> COUNTRY
 
   // 2. A tiny database conforming to it (the paper's Fig 2). The Database
   //    facade owns the graph; mutations go through it so cached plans and
-  //    statistics can never go stale silently.
+  //    statistics can never go stale silently. Writes buffer in the delta
+  //    store until it merges; Compact() folds the load into the master
+  //    graph that db.graph() reads.
   api::Database db(std::move(*schema), PropertyGraph());
   NodeId property = db.AddNode(
       "PROPERTY", {{"address", Value::String("7 Queen Street")}});
@@ -60,6 +62,7 @@ edge COUNTRY -dealsWith-> COUNTRY
   (void)db.AddEdge(montbonnot, "isLocatedIn", grenoble);
   (void)db.AddEdge(elerslie, "isLocatedIn", grenoble);
   (void)db.AddEdge(grenoble, "isLocatedIn", france);
+  if (!db.Compact().ok()) return 1;
 
   ConsistencyReport report = CheckConsistency(db.graph(), db.schema());
   std::printf("graph is %s with the schema\n",

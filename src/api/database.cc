@@ -232,10 +232,9 @@ Result<QueryResult> PreparedQuery::Execute(const Session& session,
         "execute: stale prepared query ", now, generation_, ""));
   }
   GQOPT_RETURN_NOT_OK(db_->StageFault(QueryStage::kExecute));
-  // Delta-mode data mutations advance the data generation without
-  // staling the handle: re-resolve the current publication so the cached
-  // plan serves the fresh rows. Legacy mode never moves the data
-  // generation, so this stays the Prepare-time snapshot.
+  // Data mutations advance the data generation without staling the
+  // handle: re-resolve the current publication so the cached plan serves
+  // the fresh rows.
   SnapshotPtr snap = snapshot_;
   if (snap->data_generation() != db_->data_generation()) {
     snap = db_->snapshot();
@@ -283,9 +282,6 @@ Database::Database(GraphSchema schema, PropertyGraph graph)
     : schema_(std::move(schema)),
       graph_(std::move(graph)),
       mem_(ParseByteSize(std::getenv("GQOPT_SERVER_MEM_LIMIT")), "server") {
-  if (const char* env = std::getenv("GQOPT_DELTA")) {
-    delta_enabled_ = std::string_view(env) != "0";
-  }
   if (const char* rows = std::getenv("GQOPT_DELTA_MERGE_ROWS")) {
     char* end = nullptr;
     unsigned long value = std::strtoul(rows, &end, 10);
@@ -344,7 +340,7 @@ SnapshotPtr Database::StaleOkSnapshot(bool* served_stale) const {
 void Database::EnsureBaseLocked() const {
   if (base_graph_ == nullptr) {
     // Freeze the master into the shared base copy — once per
-    // compaction/mutation cycle, never per query. The master stays in
+    // compaction cycle, never per query. The master stays in
     // place so graph() references survive every snapshot swap.
     base_graph_ = std::make_shared<const PropertyGraph>(graph_);
     base_catalog_.reset();
@@ -383,8 +379,7 @@ SnapshotPtr Database::BuildSnapshotLocked() const {
 
 void Database::MutatedLocked() {
   // The catalog/statistics rebuild is deferred to the next snapshot()
-  // access, so a bulk load pays one rebuild at its first query instead
-  // of one per AddNode/AddEdge.
+  // access.
   generation_.fetch_add(1, std::memory_order_acq_rel);
   base_graph_.reset();
   base_catalog_.reset();
@@ -418,11 +413,6 @@ void Database::Use(GraphSchema schema, PropertyGraph graph) {
 NodeId Database::AddNode(std::string_view label,
                          std::vector<Property> properties) {
   std::lock_guard<std::mutex> lock(state_mu_);
-  if (!delta_enabled_) {
-    NodeId id = graph_.AddNode(label, std::move(properties));
-    MutatedLocked();
-    return id;
-  }
   EnsureBaseLocked();
   NodeId id = delta_.AddNode(*base_graph_, label, std::move(properties));
   DataMutatedLocked();
@@ -437,11 +427,6 @@ NodeId Database::AddNode(std::string_view label,
 Status Database::AddEdge(NodeId source, std::string_view label,
                          NodeId target) {
   std::lock_guard<std::mutex> lock(state_mu_);
-  if (!delta_enabled_) {
-    GQOPT_RETURN_NOT_OK(graph_.AddEdge(source, label, target));
-    MutatedLocked();
-    return Status::OK();
-  }
   EnsureBaseLocked();
   size_t before = delta_.pending_rows();
   GQOPT_RETURN_NOT_OK(delta_.AddEdge(*base_graph_, source, label, target));
@@ -486,10 +471,14 @@ Status Database::CompactLocked() {
   }
   delta_.ClearAfterCompaction();
   // The master changed: drop the frozen base (the next snapshot
-  // re-freezes the compacted graph) and retire the publication.
+  // re-freezes the compacted graph) and retire the publication. Cached
+  // plans go too: each pins the snapshot it was prepared on, which would
+  // keep the retired base graph and its catalog alive next to the new
+  // one. They re-plan once against the compacted statistics.
   base_graph_.reset();
   base_catalog_.reset();
   DataMutatedLocked();
+  cache_.Invalidate();
   return Status::OK();
 }
 
@@ -532,14 +521,7 @@ std::shared_ptr<const PropertyGraph> Database::MaterializedGraph() const {
 
 inc::DeltaStats Database::delta_stats() const {
   std::lock_guard<std::mutex> lock(state_mu_);
-  inc::DeltaStats stats = delta_.stats();
-  stats.enabled = delta_enabled_;
-  return stats;
-}
-
-void Database::set_delta_enabled(bool enabled) {
-  std::lock_guard<std::mutex> lock(state_mu_);
-  delta_enabled_ = enabled;
+  return delta_.stats();
 }
 
 void Database::set_delta_merge_rows(size_t rows) {
@@ -668,11 +650,12 @@ Result<PreparedQueryPtr> Database::PrepareImpl(const std::string& key,
       // An Insert can race a concurrent mutation's Invalidate and land a
       // dead-generation plan after the clear; validating here turns that
       // window into a plain miss instead of serving a stale plan. Plans
-      // survive delta-mode data mutations as long as their estimated
-      // cardinalities have not drifted past the threshold.
+      // survive data mutations as long as their estimated cardinalities
+      // have not drifted past the threshold; a plan costed on degraded
+      // (stale) statistics never outlives its data generation.
       if (cached->generation_ == generation() &&
           (cached->data_generation_ == data_generation() ||
-           PlanStillFits(*cached))) {
+           (!cached->stale_statistics_ && PlanStillFits(*cached)))) {
         if (cache_hit != nullptr) *cache_hit = true;
         return cached;
       }

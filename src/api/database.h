@@ -18,15 +18,13 @@
 // through this facade (or api/stages.h for white-box tests and benches).
 //
 // Two generations stamp every publication (docs/ARCHITECTURE.md):
-//   generation       (schema) — bumped by Use() and by the legacy
-//                    whole-invalidate mutation path; outstanding handles
-//                    and cached plans from older schema generations are
-//                    dead.
-//   data_generation  — bumped by delta-mode AddNode/AddEdge and by
-//                    compaction; cached plans and handles stay VALID
-//                    across it (Execute re-resolves the snapshot, the
-//                    plan-cache lookup re-plans only when the estimated
-//                    cardinalities drifted past GQOPT_PLAN_DRIFT).
+//   generation       (schema) — bumped by Use(); outstanding handles and
+//                    cached plans from older schema generations are dead.
+//   data_generation  — bumped by AddNode/AddEdge and by compaction;
+//                    handles stay VALID across it (Execute re-resolves
+//                    the snapshot), cached plans re-plan only when the
+//                    estimated cardinalities drifted past
+//                    GQOPT_PLAN_DRIFT or a compaction cleared the cache.
 
 #ifndef GQOPT_API_DATABASE_H_
 #define GQOPT_API_DATABASE_H_
@@ -168,12 +166,13 @@ struct QueryResult {
 /// ran exactly once; the handle can be executed any number of times and
 /// from any number of threads (Execute creates per-call executor state
 /// over the captured Snapshot). Handles pin the SCHEMA generation they
-/// were prepared against: after Use() (or a legacy-mode mutation) Execute
-/// refuses with an "execute: stale" status and the caller re-prepares.
-/// Delta-mode data mutations do NOT stale a handle — Execute notices the
-/// advanced data generation and re-resolves the current snapshot, so the
-/// same plan serves the fresh data. An execution already in flight when
-/// any mutation lands finishes correctly on the snapshot it captured.
+/// were prepared against: after Use() Execute refuses with an
+/// "execute: stale" status and the caller re-prepares. Data mutations do
+/// NOT stale a handle — Execute notices the advanced data generation and
+/// re-resolves the current snapshot, so the same plan serves the fresh
+/// data. An execution already in flight when any mutation lands finishes
+/// correctly on the snapshot it captured. A handle keeps its Prepare-time
+/// snapshot (and that snapshot's base graph) alive while it is held.
 class PreparedQuery {
  public:
   /// The cache-key text this query was prepared from (normalized input
@@ -227,10 +226,10 @@ class PreparedQuery {
   /// Same, under an externally supplied deadline (the serving layer's
   /// admission-time deadline, which keeps counting across queueing and
   /// planning). The generation check and the execution both observe one
-  /// Snapshot: the one captured at Prepare, or — when delta-mode data
-  /// mutations advanced the data generation since — the current
-  /// publication, fetched once. A concurrent schema mutation can make
-  /// this call refuse as stale, but never corrupt a run in flight.
+  /// Snapshot: the one captured at Prepare, or — when data mutations
+  /// advanced the data generation since — the current publication,
+  /// fetched once. A concurrent schema mutation can make this call
+  /// refuse as stale, but never corrupt a run in flight.
   Result<QueryResult> Execute(const Session& session,
                               const Deadline& deadline) const;
 
@@ -276,13 +275,12 @@ using PreparedQueryPtr = std::shared_ptr<const PreparedQuery>;
 /// concurrent pipelines should hold a snapshot() or a PreparedQuery
 /// instead.
 ///
-/// Write modes: with the delta DISABLED (default; GQOPT_DELTA=1 or
-/// set_delta_enabled(true) to opt in) AddNode/AddEdge mutate the master
-/// graph in place and invalidate everything — the legacy semantics.
-/// With the delta ENABLED they append to a side buffer (src/inc): the
-/// base stays frozen, readers overlay the sealed pending rows, cached
-/// plans keep serving (drift-checked), and the buffer merges into the
-/// base when it exceeds GQOPT_DELTA_MERGE_ROWS rows or on Compact().
+/// Writes: AddNode/AddEdge append to a side buffer (src/inc): the base
+/// stays frozen, readers overlay the sealed pending rows, cached plans
+/// keep serving (drift-checked), and the buffer merges into the base
+/// when it reaches GQOPT_DELTA_MERGE_ROWS rows or on Compact(). A
+/// compaction clears the plan cache, so no cached plan pins the retired
+/// base graph.
 class Database {
  public:
   /// An empty database (no schema, no nodes) — populate with Use() or the
@@ -300,11 +298,11 @@ class Database {
 
   const GraphSchema& schema() const { return schema_; }
   /// The master graph. The reference is stable for the lifetime of the
-  /// Database (snapshots copy it; mutations change it in place), but
+  /// Database (snapshots copy it; compactions change it in place), but
   /// reading it concurrently with the mutators is the caller's problem —
-  /// concurrent pipelines should hold a snapshot() instead. In delta
-  /// mode, pending (uncompacted) rows are NOT visible here; Compact()
-  /// folds them in.
+  /// concurrent pipelines should hold a snapshot() instead. Pending
+  /// (uncompacted) rows are NOT visible here; Compact() folds them in,
+  /// MaterializedGraph() overlays them.
   const PropertyGraph& graph() const { return graph_; }
   /// The effective graph, pending delta rows included: with no rows
   /// pending this borrows the master (same lifetime contract as
@@ -318,14 +316,13 @@ class Database {
   /// rebuild at the next query, not one per call). The reference is
   /// stable until the next mutation/Use/RefreshStatistics.
   const Catalog& catalog() const;
-  /// Schema generation: bumped by Use() and by legacy-mode mutations;
-  /// PreparedQuery handles from older schema generations refuse to
-  /// execute.
+  /// Schema generation: bumped by Use(); PreparedQuery handles from
+  /// older schema generations refuse to execute.
   uint64_t generation() const {
     return generation_.load(std::memory_order_acquire);
   }
-  /// Data generation: bumped by every delta-mode mutation and by each
-  /// compaction. Handles and cached plans survive it.
+  /// Data generation: bumped by every mutation and by each compaction.
+  /// Handles survive it.
   uint64_t data_generation() const {
     return data_generation_.load(std::memory_order_acquire);
   }
@@ -348,34 +345,31 @@ class Database {
   /// delta rows (they described the dataset being replaced).
   void Use(GraphSchema schema, PropertyGraph graph);
 
-  /// Graph mutations. Delta disabled (default): mutate the master in
-  /// place, retire the publication, invalidate the plan cache, bump the
-  /// schema generation. Delta enabled: append to the pending buffer and
-  /// bump only the data generation — handles and cached plans keep
-  /// serving — then auto-compact once the buffer exceeds the merge
-  /// threshold (a failed auto-compaction is counted and retried later;
-  /// the mutation itself still succeeds).
+  /// Graph mutations: append to the pending buffer and bump only the
+  /// data generation — handles and cached plans keep serving — then
+  /// auto-compact once the buffer reaches the merge threshold (a failed
+  /// auto-compaction is counted and retried later; the mutation itself
+  /// still succeeds).
   NodeId AddNode(std::string_view label, std::vector<Property> properties = {});
   Status AddEdge(NodeId source, std::string_view label, NodeId target);
 
   /// Merges all pending delta rows into the base graph (no-op when none
   /// are pending). On success the master graph contains every row,
   /// the publication is retired (the next reader builds a delta-free
-  /// snapshot) and the data generation is bumped. On failure — injected
-  /// kDeltaMerge fault or a real allocation failure — the pending rows
-  /// stay buffered, published snapshots keep serving, and the typed
-  /// "compact: " status reports the cause; a later Compact() retries.
+  /// snapshot), the data generation is bumped and the plan cache is
+  /// cleared: cached plans pin the snapshot they were prepared on, and
+  /// would otherwise keep the pre-compaction base graph and catalog
+  /// alive. They re-plan once against the compacted statistics. On
+  /// failure — injected kDeltaMerge fault or a real allocation failure —
+  /// the pending rows stay buffered, published snapshots keep serving,
+  /// and the typed "compact: " status reports the cause; a later
+  /// Compact() retries.
   Status Compact();
 
   /// Delta-store counters (pending sizes, appends, dropped duplicates,
   /// seals, compactions). Consistent snapshot under the state mutex.
   inc::DeltaStats delta_stats() const;
 
-  /// Switches the write path between legacy whole-invalidation and
-  /// delta-buffered incremental maintenance. Overrides GQOPT_DELTA.
-  /// Disabling does not discard already-pending rows — Compact() first
-  /// if exact master-graph state matters.
-  void set_delta_enabled(bool enabled);
   /// Pending-row threshold that triggers auto-compaction (default 4096).
   /// Overrides GQOPT_DELTA_MERGE_ROWS.
   void set_delta_merge_rows(size_t rows);
@@ -448,8 +442,9 @@ class Database {
                                        bool* cache_hit) const;
   /// Double-checked snapshot build; caller holds state_mu_.
   SnapshotPtr BuildSnapshotLocked() const;
-  /// Schema-generation bump + publication retire + plan-cache
-  /// invalidation + pending-delta discard; caller holds state_mu_.
+  /// Use()'s reset: schema-generation bump + publication retire +
+  /// plan-cache invalidation + pending-delta discard; caller holds
+  /// state_mu_.
   void MutatedLocked();
   /// Data-generation bump + publication retire, plan cache KEPT; caller
   /// holds state_mu_.
@@ -477,8 +472,8 @@ class Database {
   // they load the atomic publication.
   mutable std::mutex state_mu_;
   GraphSchema schema_;
-  // The master graph: mutated in place under state_mu_ (legacy mutations
-  // and compactions), frozen while delta rows are pending. It never
+  // The master graph: mutated in place under state_mu_ by compactions
+  // (replaced by Use()), frozen while delta rows are pending. It never
   // moves, so the graph() reference is stable for the Database lifetime.
   PropertyGraph graph_;
   std::atomic<uint64_t> generation_{0};
@@ -486,9 +481,8 @@ class Database {
   // Incremental write path (guarded by state_mu_): the pending buffer,
   // the frozen copy of the master that published snapshots share, and
   // the base catalog built over that copy. The base slots reset on
-  // compaction / legacy mutation (content changed) and base_catalog_
-  // alone on RefreshStatistics (same data, fresh statistics).
-  bool delta_enabled_ = false;
+  // compaction / Use() (content changed) and base_catalog_ alone on
+  // RefreshStatistics (same data, fresh statistics).
   size_t delta_merge_rows_ = 4096;
   inc::DeltaStore delta_;
   mutable std::shared_ptr<const PropertyGraph> base_graph_;

@@ -54,7 +54,6 @@ struct EdgeRun {
 /// Counters the CLI `stats` command and the tests observe. A consistent
 /// snapshot under the Database state mutex.
 struct DeltaStats {
-  bool enabled = false;
   size_t pending_nodes = 0;
   size_t pending_edges = 0;
   uint64_t appended_nodes = 0;

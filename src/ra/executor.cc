@@ -67,7 +67,17 @@ void CanonicalKey(const RaExpr* e,
   auto col = [columns, out](const std::string& name) {
     auto [it, inserted] = columns->emplace(name, columns->size());
     (void)inserted;
-    *out += "$" + std::to_string(it->second);
+    *out += '$';
+    *out += std::to_string(it->second);
+  };
+  // Appends "<limit>[@<offset>]" (a zero offset renders nothing). Appends
+  // rather than operator+ chains, which trip GCC 12's -Wrestrict.
+  auto window = [e, out] {
+    *out += std::to_string(e->limit());
+    if (e->offset() > 0) {
+      *out += '@';
+      *out += std::to_string(e->offset());
+    }
   };
   switch (e->op()) {
     case RaOp::kEdgeScan:
@@ -139,7 +149,9 @@ void CanonicalKey(const RaExpr* e,
       col(e->src_col());
       *out += ",";
       col(e->tgt_col());
-      *out += "," + std::to_string(static_cast<int>(e->seed_side())) + "](";
+      *out += ',';
+      *out += std::to_string(static_cast<int>(e->seed_side()));
+      *out += "](";
       CanonicalKey(e->left().get(), columns, out);
       *out += ")";
       if (e->seed()) {
@@ -154,13 +166,13 @@ void CanonicalKey(const RaExpr* e,
       // of node identity: a different order, k, or offset produces
       // different rows. An offset of 0 renders nothing, keeping every
       // pre-offset key byte-identical.
-      *out += e->op() == RaOp::kSort
-                  ? "O["
-                  : "K[" + std::to_string(e->limit()) +
-                        (e->offset() > 0
-                             ? "@" + std::to_string(e->offset())
-                             : "") +
-                        ";";
+      if (e->op() == RaOp::kSort) {
+        *out += "O[";
+      } else {
+        *out += "K[";
+        window();
+        *out += ';';
+      }
       for (const SortKey& k : e->sort_keys()) {
         col(k.column);
         if (k.descending) *out += "v";
@@ -171,9 +183,9 @@ void CanonicalKey(const RaExpr* e,
       *out += ")";
       return;
     case RaOp::kLimit:
-      *out += "L[" + std::to_string(e->limit()) +
-              (e->offset() > 0 ? "@" + std::to_string(e->offset()) : "") +
-              "](";
+      *out += "L[";
+      window();
+      *out += "](";
       CanonicalKey(e->left().get(), columns, out);
       *out += ")";
       return;

@@ -163,41 +163,56 @@ TEST(ApiTest, DisabledCacheNeverHitsAndStoresNothing) {
   EXPECT_EQ(db.plan_cache_stats().entries, 0u);
 }
 
-TEST(ApiTest, GraphMutationInvalidatesCacheAndHandles) {
+TEST(ApiTest, GraphMutationKeepsHandlesAndCompactionClearsCache) {
   Database db(YagoSchema(), GenerateYago({.persons = 40}));
   db.set_plan_cache_enabled(true);
-  // This test pins the LEGACY write path (mutations rebuild everything);
-  // delta-mode retention is covered by delta_differential_test.
-  db.set_delta_enabled(false);
+  db.set_delta_merge_rows(1u << 20);
   Session session(db);
   const std::string text = "x1, x2 <- (x1, owns/isLocatedIn, x2)";
   auto prepared = session.Prepare(text);
   ASSERT_TRUE(prepared.ok());
+  auto before = (*prepared)->Execute(session);
+  ASSERT_TRUE(before.ok());
   EXPECT_EQ(db.plan_cache_stats().entries, 1u);
+  uint64_t generation = db.generation();
+  uint64_t data_generation = db.data_generation();
 
+  // One new owns/isLocatedIn path: exactly one more result row.
   NodeId person = db.AddNode("PERSON");
   NodeId property = db.AddNode("PROPERTY");
+  NodeId city = db.AddNode("CITY");
   ASSERT_TRUE(db.AddEdge(person, "owns", property).ok());
+  ASSERT_TRUE(db.AddEdge(property, "isLocatedIn", city).ok());
 
+  // A data write moves only the data generation: the handle is not
+  // stale, and it serves the written rows.
+  EXPECT_EQ(db.generation(), generation);
+  EXPECT_EQ(db.data_generation(), data_generation + 5);
+  EXPECT_EQ((*prepared)->Explain().find("stale"), std::string::npos);
+  auto pending = (*prepared)->Execute(session);
+  ASSERT_TRUE(pending.ok()) << pending.status().ToString();
+  EXPECT_EQ(pending->rows(), before->rows() + 1);
+
+  // Compaction clears the plan cache (cached plans would pin the retired
+  // base); the handle keeps executing, with the same rows.
+  uint64_t invalidations = db.plan_cache_stats().invalidations;
+  ASSERT_TRUE(db.Compact().ok());
   PlanCacheStats stats = db.plan_cache_stats();
   EXPECT_EQ(stats.entries, 0u);
-  EXPECT_GE(stats.invalidations, 1u);
+  EXPECT_EQ(stats.invalidations, invalidations + 1);
+  auto compacted = (*prepared)->Execute(session);
+  ASSERT_TRUE(compacted.ok()) << compacted.status().ToString();
+  EXPECT_EQ(compacted->SortedRows(), pending->SortedRows());
 
-  // The old handle is a snapshot of a past generation: it refuses, and
-  // Explain reports the staleness instead of costing the old plan
-  // against the rebuilt catalog.
-  auto result = (*prepared)->Execute(session);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(ClassifyError(result.status()), QueryStage::kExecute);
-  EXPECT_NE(result.status().message().find("stale"), std::string::npos);
-  EXPECT_NE((*prepared)->Explain().find("stale"), std::string::npos);
-
-  // Re-preparing misses (re-plans against the mutated graph) and works.
+  // Re-preparing misses (re-plans against the compacted graph) and
+  // serves the same rows.
   bool hit = true;
   auto again = db.Prepare(text, session.options(), &hit);
   ASSERT_TRUE(again.ok());
   EXPECT_FALSE(hit);
-  EXPECT_TRUE((*again)->Execute(session).ok());
+  auto fresh = (*again)->Execute(session);
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(fresh->SortedRows(), pending->SortedRows());
 }
 
 TEST(ApiTest, DatasetSwapInvalidatesCacheAndHandles) {

@@ -6,12 +6,14 @@
 // with the plan cache on and off, and in low-memory mode. Plus the plan
 // retention contract: a data mutation keeps unrelated cached plans
 // serving by pointer identity, re-plans only past the drift threshold,
-// and retained handles observe the freshly written rows.
+// and retained handles observe the freshly written rows. And the
+// compaction contract: cached plans do not keep the retired base alive.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <iterator>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -67,14 +69,12 @@ TEST(DeltaDifferentialTest, OverlayIsBitIdenticalToCompactedExecution) {
   // Overlay database: every mutation stays pending (threshold far above
   // the batch), queries run base + seal.
   Database overlay(YagoSchema(), GenerateYago({.persons = 60, .seed = 9}));
-  overlay.set_delta_enabled(true);
   overlay.set_delta_merge_rows(1u << 20);
   ApplyMutations(overlay);
   ASSERT_GT(overlay.delta_stats().pending_edges, 0u);
 
   // Compacted database: the same rows merged into the base graph.
   Database compacted(YagoSchema(), GenerateYago({.persons = 60, .seed = 9}));
-  compacted.set_delta_enabled(true);
   compacted.set_delta_merge_rows(1u << 20);
   ApplyMutations(compacted);
   ASSERT_TRUE(compacted.Compact().ok());
@@ -116,7 +116,6 @@ TEST(DeltaDifferentialTest, CompactionPreservesAnswersMidStream) {
   // One database, queried before and after its own compaction: the
   // visible rows must not move when the representation changes.
   Database db(YagoSchema(), GenerateYago({.persons = 50, .seed = 21}));
-  db.set_delta_enabled(true);
   db.set_delta_merge_rows(1u << 20);
   ApplyMutations(db);
   Session session(db);
@@ -134,10 +133,49 @@ TEST(DeltaDifferentialTest, CompactionPreservesAnswersMidStream) {
   }
 }
 
+TEST(DeltaDifferentialTest, CompactionReleasesTheSnapshotCachedPlansPinned) {
+  // Every cached plan holds the snapshot it was prepared on. Plans
+  // survive data writes, so without a cache clear at compaction the
+  // pre-compaction snapshot — its frozen base graph copy and catalog —
+  // stays alive next to the compacted one for as long as the plans do.
+  Database db(YagoSchema(), GenerateYago({.persons = 50, .seed = 27}));
+  db.set_plan_cache_enabled(true);
+  db.set_delta_merge_rows(1u << 20);
+  Session session(db);
+  for (const char* query : kQueries) {
+    ASSERT_TRUE(session.Prepare(query).ok()) << query;
+  }
+  ASSERT_GE(db.plan_cache_stats().entries, std::size(kQueries));
+  std::weak_ptr<const api::Snapshot> first = db.snapshot();
+  ASSERT_FALSE(first.expired());
+
+  ApplyMutations(db);
+  // Reads between the writes and the compaction keep the plans cached.
+  for (const char* query : kQueries) {
+    ASSERT_TRUE(session.Query(query).ok()) << query;
+  }
+  ASSERT_FALSE(first.expired()) << "the cached plans pin it until compaction";
+  ASSERT_TRUE(db.Compact().ok());
+
+  Database rebuilt(YagoSchema(), GenerateYago({.persons = 50, .seed = 27}));
+  ApplyMutations(rebuilt);
+  ASSERT_TRUE(rebuilt.Compact().ok());
+  Session rebuilt_session(rebuilt);
+  for (const char* query : kQueries) {
+    auto live = session.Query(query);
+    ASSERT_TRUE(live.ok()) << live.status().ToString();
+    auto exact = rebuilt_session.Query(query);
+    ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+    EXPECT_EQ(live->table.columns(), exact->table.columns()) << query;
+    EXPECT_EQ(live->table.data(), exact->table.data()) << query;
+  }
+  EXPECT_TRUE(first.expired())
+      << "a cached plan still pins the pre-compaction snapshot";
+}
+
 TEST(DeltaDifferentialTest, DataMutationRetainsUnrelatedCachedPlans) {
   Database db(YagoSchema(), GenerateYago({.persons = 50, .seed = 33}));
   db.set_plan_cache_enabled(true);
-  db.set_delta_enabled(true);
   db.set_delta_merge_rows(1u << 20);
   Session session(db);
   const std::string text = "x1, x2 <- (x1, owns/isLocatedIn, x2)";
@@ -165,7 +203,6 @@ TEST(DeltaDifferentialTest, DataMutationRetainsUnrelatedCachedPlans) {
 TEST(DeltaDifferentialTest, CardinalityDriftPastThresholdReplans) {
   Database db(YagoSchema(), GenerateYago({.persons = 30, .seed = 35}));
   db.set_plan_cache_enabled(true);
-  db.set_delta_enabled(true);
   db.set_delta_merge_rows(1u << 20);
   db.set_plan_drift_threshold(2.0);
   Session session(db);
@@ -199,7 +236,6 @@ TEST(DeltaDifferentialTest, CardinalityDriftPastThresholdReplans) {
 TEST(DeltaDifferentialTest, RetainedHandleObservesFreshRows) {
   Database db(YagoSchema(), GenerateYago({.persons = 30, .seed = 41}));
   db.set_plan_cache_enabled(true);
-  db.set_delta_enabled(true);
   db.set_delta_merge_rows(1u << 20);
   Session session(db);
   auto prepared = session.Prepare("x1, x2 <- (x1, owns, x2)");
@@ -223,10 +259,9 @@ TEST(DeltaDifferentialTest, RetainedHandleObservesFreshRows) {
 
 TEST(DeltaDifferentialTest, SchemaGenerationStillInvalidatesEverything) {
   // The generation split's other half: Use() (a schema/dataset swap)
-  // keeps full invalidation semantics even with delta mode on.
+  // keeps full invalidation semantics.
   Database db(YagoSchema(), GenerateYago({.persons = 30, .seed = 43}));
   db.set_plan_cache_enabled(true);
-  db.set_delta_enabled(true);
   Session session(db);
   auto prepared = session.Prepare("x1, x2 <- (x1, owns/isLocatedIn, x2)");
   ASSERT_TRUE(prepared.ok());

@@ -172,7 +172,7 @@ TEST_F(IncTest, MergeSortedEdgesMatchesFromScratchRebuild) {
   }
 
   EXPECT_EQ(grown.num_nodes(), all.num_nodes());
-  // num_edges() is not compared: the legacy AddEdge path counts raw
+  // num_edges() is not compared: PropertyGraph::AddEdge counts raw
   // appends (duplicates included) while the delta path dedups at append
   // time — the edge *tables* below are the authoritative comparison.
   for (const char* label : {"e", "g"}) {
@@ -305,7 +305,6 @@ TEST_F(IncTest, OverlayStatisticsMatchCompactedRecollect) {
 TEST_F(IncTest, AutoCompactionFiresAtTheThreshold) {
   Database db;
   db.Use(GraphSchema(), SmallBase());
-  db.set_delta_enabled(true);
   db.set_delta_merge_rows(3);
 
   ASSERT_TRUE(db.AddEdge(0, "e", 3).ok());
@@ -334,7 +333,6 @@ TEST_F(IncTest, MaterializedGraphIncludesPendingRows) {
   // a merged copy so they agree with relational execution mid-delta.
   Database db;
   db.Use(GraphSchema(), SmallBase());
-  db.set_delta_enabled(true);
   db.set_delta_merge_rows(1u << 20);
 
   // Empty delta: borrows the master, no copy.
@@ -367,7 +365,6 @@ TEST_F(IncTest, MaterializedGraphIncludesPendingRows) {
 TEST_F(IncTest, DeltaMergeFaultLeavesPendingRowsAndRetries) {
   Database db;
   db.Use(GraphSchema(), SmallBase());
-  db.set_delta_enabled(true);
   ASSERT_TRUE(db.AddEdge(0, "e", 3).ok());
 
   Session session(db, NoRewrite());
@@ -402,7 +399,6 @@ TEST_F(IncTest, DeltaMergeFaultLeavesPendingRowsAndRetries) {
 TEST_F(IncTest, DeltaMergeDeadlineFaultIsTyped) {
   Database db;
   db.Use(GraphSchema(), SmallBase());
-  db.set_delta_enabled(true);
   ASSERT_TRUE(db.AddEdge(2, "e", 0).ok());
   FaultInjector::Global().Arm(FaultPoint::kDeltaMerge, FaultKind::kDeadline);
   Status failed = db.Compact();

@@ -192,22 +192,21 @@ TEST(ServingStormTest, CachedServerStormMatchesSerial) {
 
 // ---- Mutation during traffic -----------------------------------------------
 
-// Readers storm while a writer adds nodes (which bumps the generation and
-// invalidates the publication, but cannot change any query's result
-// rows). Every OK result must still be bit-identical to the baseline;
-// the only acceptable failure is the typed stale-handle error that
-// surfaces when the mutation storm outpaces Session::Query's bounded
-// re-prepares.
+// Readers storm while a writer adds nodes and compacts every tenth
+// write (each write bumps the data generation and retires the
+// publication; each compaction also clears the plan cache; neither can
+// change any query's result rows). Every result must be OK and
+// bit-identical to the baseline: data writes never stale a handle, so
+// not even the typed stale error is acceptable.
 TEST(ServingMutationTest, MutationDuringTrafficStaysSound) {
   FaultGuard faults;
   Database db(YagoSchema(), GenerateYago({.persons = 120, .seed = 7}));
-  // Pin the legacy write path: this test asserts the full
-  // rebuild-per-mutation generation counting.
-  db.set_delta_enabled(false);
+  db.set_delta_merge_rows(1u << 20);
   ExecOptions options = ExecOptions::FromEnv();
   options.timeout_ms = 0;
   auto baseline = BaselineRows(db, kQueries[0], options);
   uint64_t start_generation = db.generation();
+  uint64_t start_data_generation = db.data_generation();
 
   constexpr size_t kReaders = 3;
   constexpr int kMutations = 40;
@@ -219,47 +218,62 @@ TEST(ServingMutationTest, MutationDuringTrafficStaysSound) {
       Session session(db, options);
       while (!stop.load(std::memory_order_acquire)) {
         auto result = session.Query(kQueries[0]);
-        if (result.ok()) {
-          if (result->SortedRows() != baseline) {
-            errors[t] = "rows diverged under mutation";
-            return;
-          }
-        } else if (result.status().message().find("stale prepared query") ==
-                   std::string::npos) {
+        if (!result.ok()) {
           errors[t] = result.status().ToString();
+          return;
+        }
+        if (result->SortedRows() != baseline) {
+          errors[t] = "rows diverged under mutation";
           return;
         }
       }
     });
   }
+  std::string compact_error;
   for (int i = 0; i < kMutations; ++i) {
     db.AddNode("Person");
+    if (i % 10 == 9) {
+      Status compacted = db.Compact();
+      if (!compacted.ok()) compact_error = compacted.ToString();
+    }
     std::this_thread::yield();
   }
   stop.store(true, std::memory_order_release);
   for (auto& thread : readers) thread.join();
 
   for (size_t t = 0; t < kReaders; ++t) EXPECT_EQ(errors[t], "");
-  EXPECT_EQ(db.generation(), start_generation + kMutations);
-  EXPECT_GE(db.plan_cache_stats().invalidations, 1u);
+  EXPECT_EQ(compact_error, "");
+  // Only the data generation moved: one step per write and one per
+  // compaction.
+  EXPECT_EQ(db.generation(), start_generation);
+  EXPECT_EQ(db.data_generation(),
+            start_data_generation + kMutations + kMutations / 10);
+  EXPECT_EQ(db.delta_stats().compactions, uint64_t{kMutations / 10});
+  EXPECT_GE(db.plan_cache_stats().invalidations, uint64_t{kMutations / 10});
 }
 
 // The PreparedQuery TOCTOU regression: a handle prepared just before a
-// mutation lands must either execute on its captured snapshot (correct
-// rows) or refuse with the typed stale error — never run the old plan
-// against swapped-out state.
+// write or a compaction lands must execute with the correct rows —
+// on its captured snapshot or on the re-resolved current one — never
+// run the old plan against swapped-out state. Data writes never stale a
+// handle, so every execution must succeed.
 TEST(ServingMutationTest, PreparedHandleExecuteVsConcurrentMutator) {
   FaultGuard faults;
   Database db(YagoSchema(), GenerateYago({.persons = 120, .seed = 7}));
-  db.set_delta_enabled(false);  // the stale-or-refuse contract is legacy
+  db.set_delta_merge_rows(1u << 20);
   ExecOptions options;
   options.timeout_ms = 0;
   auto baseline = BaselineRows(db, kQueries[0], options);
 
+  // Bounded: an unthrottled writer would grow the graph (and every
+  // compaction's re-freeze) without limit while the readers run.
+  constexpr int kMaxWrites = 2000;
   std::atomic<bool> stop{false};
   std::thread mutator([&] {
-    while (!stop.load(std::memory_order_acquire)) {
+    for (int i = 1; i <= kMaxWrites && !stop.load(std::memory_order_acquire);
+         ++i) {
       db.AddNode("Person");
+      if (i % 8 == 0) (void)db.Compact();
       std::this_thread::yield();
     }
   });
@@ -273,16 +287,16 @@ TEST(ServingMutationTest, PreparedHandleExecuteVsConcurrentMutator) {
       break;
     }
     auto result = (*prepared)->Execute(session);
-    if (result.ok()) {
-      if (result->SortedRows() != baseline) error = "rows diverged";
-    } else if (result.status().message().find("stale prepared query") ==
-               std::string::npos) {
+    if (!result.ok()) {
       error = result.status().ToString();
+    } else if (result->SortedRows() != baseline) {
+      error = "rows diverged";
     }
   }
   stop.store(true, std::memory_order_release);
   mutator.join();
   EXPECT_EQ(error, "");
+  EXPECT_EQ(db.delta_stats().failed_compactions, 0u);
 }
 
 // Delta-mode storm: a writer appends through the delta store — with the
@@ -295,7 +309,6 @@ TEST(ServingMutationTest, PreparedHandleExecuteVsConcurrentMutator) {
 TEST(ServingMutationTest, DeltaMutateQueryStormUnderMergeFaults) {
   FaultGuard faults;
   Database db(YagoSchema(), GenerateYago({.persons = 80, .seed = 13}));
-  db.set_delta_enabled(true);
   db.set_delta_merge_rows(64);
   ExecOptions options;
   options.timeout_ms = 0;
@@ -495,10 +508,6 @@ TEST(DegradationTest, ApplyDegradationRungs) {
 TEST(DegradationTest, StaleStatisticsServing) {
   FaultGuard faults;
   Database db(YagoSchema(), GenerateYago({.persons = 60, .seed = 7}));
-  // Pin legacy mutation semantics: the final assertion relies on AddNode
-  // discarding the cached (stale-planned) entry, whereas delta mode
-  // deliberately retains it across data mutations.
-  db.set_delta_enabled(false);
   ExecOptions options;
   ASSERT_TRUE(db.Prepare(kQueries[0], options).ok());  // publish a snapshot
   db.RefreshStatistics();
@@ -515,11 +524,19 @@ TEST(DegradationTest, StaleStatisticsServing) {
   ASSERT_TRUE(prepared.ok());
   EXPECT_TRUE((*prepared)->stale_statistics());
 
-  // A mutation kills the old publication entirely: no stale serving
-  // across generations, the next prepare rebuilds fresh.
+  // A data write kills the old publication entirely: no stale serving
+  // across data generations. The snapshot is rebuilt fresh, and the
+  // cached plan costed on the stale statistics is not retained across
+  // the write — the next prepare re-plans on the new snapshot.
   db.AddNode("Person");
-  auto fresh = db.Prepare(kQueries[0], degraded);
+  served_stale = true;
+  SnapshotPtr current = db.StaleOkSnapshot(&served_stale);
+  EXPECT_FALSE(served_stale);
+  EXPECT_EQ(current->data_generation(), db.data_generation());
+  bool hit = true;
+  auto fresh = db.Prepare(kQueries[0], degraded, &hit);
   ASSERT_TRUE(fresh.ok());
+  EXPECT_FALSE(hit);
   EXPECT_FALSE((*fresh)->stale_statistics());
 }
 

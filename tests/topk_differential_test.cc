@@ -437,7 +437,7 @@ TEST_F(TopKFacadeTest, GraphEngineAgreesOnOrderedQueries) {
   // three-way differential disagreed on row counts).
   api::Session session(db_);
   session.options().apply_schema_rewrite = false;
-  for (const std::string text :
+  for (const std::string& text :
        {std::string("x, y <- (x, e1, y) order by y desc, x limit 7"),
         std::string(
             "x, y <- (x, e1, y) order by y desc, x limit 7 offset 4")}) {

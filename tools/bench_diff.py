@@ -42,8 +42,8 @@ PAIRS = [
     # pruning disabled (full fixpoint feeding the bounded heap).
     ("BM_ClosureTopKPruned", "BM_ClosureTopKFull"),
     # Mixed read/write through the facade: delta-buffered writes with
-    # overlay reads and retained plans vs the legacy rebuild-per-write
-    # path (catalog + statistics + plans reconstructed on each mutation).
+    # overlay reads and retained plans vs merge-per-write (Compact after
+    # each write: base, catalog, statistics and plans rebuilt each time).
     ("BM_MixedReadWriteDelta", "BM_MixedReadWriteRebuild"),
 ]
 

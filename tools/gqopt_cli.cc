@@ -12,7 +12,7 @@
 //   gqopt> sql     x1, x2 <- (x1, knows+, x2)
 //   gqopt> cypher  x1, x2 <- (x1, knows/workAt/isLocatedIn, x2)
 //   gqopt> cache             # plan-cache counters (incl. LRU evictions)
-//   gqopt> delta on          # route writes through the delta store
+//   gqopt> delta             # pending rows, appends, compactions
 //   gqopt> mutate edge 3 knows 17
 //   gqopt> compact           # merge pending delta rows into the base
 //   gqopt> stress 4 200 x1, x2 <- (x1, knows+, x2)
@@ -26,6 +26,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -48,10 +49,12 @@ namespace gqopt {
 namespace {
 
 void PrintDataset(const api::Database& db) {
+  // Pending delta rows included: count the effective graph.
+  std::shared_ptr<const PropertyGraph> graph = db.MaterializedGraph();
   std::printf("dataset: %zu nodes, %zu edges, %zu node labels, %zu edge "
               "relations\n",
-              db.graph().num_nodes(), db.graph().num_edges(),
-              db.graph().num_node_labels(), db.graph().num_edge_labels());
+              graph->num_nodes(), graph->num_edges(),
+              graph->num_node_labels(), graph->num_edge_labels());
 }
 
 void PrintHelp() {
@@ -69,9 +72,7 @@ void PrintHelp() {
       "  sql <query>                recursive SQL translation\n"
       "  cypher <query>             Cypher translation\n"
       "  cache                      plan-cache counters (hits/evictions)\n"
-      "  delta [on|off]             delta-store counters, or switch the\n"
-      "                             write path (on: buffered + retained\n"
-      "                             plans; off: rebuild per mutation)\n"
+      "  delta                      delta-store counters\n"
       "  mutate node <label>        insert a node, print its id\n"
       "  mutate edge <src> <label> <tgt>\n"
       "                             insert an edge by endpoint ids\n"
@@ -205,22 +206,13 @@ void DoCacheStats(const api::Database& db) {
               static_cast<unsigned long long>(stats.evictions));
 }
 
-void DoDelta(api::Database& db, const std::string& rest) {
-  if (rest == "on" || rest == "off") {
-    db.set_delta_enabled(rest == "on");
-    std::printf("delta writes %s\n",
-                rest == "on" ? "enabled (mutations buffer and cached plans "
-                               "are retained)"
-                             : "disabled (mutations rebuild the catalog)");
-    return;
-  }
+void DoDelta(const api::Database& db, const std::string& rest) {
   if (!rest.empty()) {
-    std::puts("usage: delta [on|off]");
+    std::puts("usage: delta");
     return;
   }
   inc::DeltaStats stats = db.delta_stats();
-  std::printf("delta store: %s, %zu pending rows (%zu nodes, %zu edges)\n",
-              stats.enabled ? "enabled" : "disabled",
+  std::printf("delta store: %zu pending rows (%zu nodes, %zu edges)\n",
               stats.pending_nodes + stats.pending_edges, stats.pending_nodes,
               stats.pending_edges);
   std::printf("  appended      %llu nodes, %llu edges\n",

@@ -121,13 +121,6 @@ GQOPT_PLAN_CACHE=0 ctest --test-dir build --output-on-failure \
 GQOPT_PLAN_CACHE=1 ctest --test-dir build --output-on-failure \
   -R '(api|end_to_end|serving|topk_differential)_test'
 
-# Mutation matrix: the facade suites once more with delta-mode writes as
-# the ambient default (GQOPT_DELTA=1). Tests that pin the legacy
-# rebuild-per-mutation semantics call set_delta_enabled(false)
-# explicitly, which takes precedence over the environment knob.
-GQOPT_DELTA=1 ctest --test-dir build --output-on-failure \
-  -R '(inc|delta_differential|api|end_to_end|topk_differential)_test'
-
 if [[ "$run_bench" -eq 1 ]]; then
   if [[ -x build/bench_micro ]]; then
     # The interesting subset: evaluation-core primitives with their
