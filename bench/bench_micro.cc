@@ -25,10 +25,19 @@
 #include "eval/graph_engine.h"
 #include "query/query_parser.h"
 #include "ra/catalog.h"
+#include "ra/table.h"
 #include "util/rng.h"
 
 namespace gqopt {
 namespace {
+
+// "<prefix><i>" by append (GCC 12 reports a false -Wrestrict on
+// `"e" + std::to_string(i)`).
+std::string Numbered(const char* prefix, size_t i) {
+  std::string name = prefix;
+  name += std::to_string(i);
+  return name;
+}
 
 void BM_RewriteYagoWorkload(benchmark::State& state) {
   GraphSchema schema = YagoSchema();
@@ -532,6 +541,77 @@ BENCHMARK(BM_ClosureParallel)
     ->Args({2048, 2})
     ->Args({2048, 4});
 
+// Distinct input: `n` arity-2 rows over LDBC-sized (14-bit) ids; with
+// `prefix` 1 the rows are sorted on the first column only.
+Table DistinctInput(size_t n, bool prefix) {
+  Rng rng(31);
+  std::vector<NodeId> data(2 * n);
+  for (NodeId& v : data) v = static_cast<NodeId>(rng.Uniform(1 << 14));
+  Table t = Table::FromData({"x", "y"}, std::move(data));
+  if (!prefix) return t;
+  std::vector<std::pair<NodeId, NodeId>> rows;
+  for (size_t r = 0; r < n; ++r) rows.emplace_back(t.At(r, 0), t.At(r, 1));
+  std::stable_sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  });
+  std::vector<NodeId> sorted;
+  for (const auto& [a, b] : rows) {
+    sorted.push_back(a);
+    sorted.push_back(b);
+  }
+  t = Table::FromData({"x", "y"}, std::move(sorted));
+  t.MarkSortPrefix(1);
+  return t;
+}
+
+// Table::SortDistinct through the radix sort-unique kernel, at
+// /N/prefix/dop. The input block is shared, so each iteration reads it
+// and builds a new one, exactly as a memoized Distinct input would.
+void BM_DistinctParallel(benchmark::State& state) {
+  size_t n = static_cast<size_t>(state.range(0));
+  Table input = DistinctInput(n, state.range(1) != 0);
+  ThreadPool pool(3);
+  ExecContext ctx;
+  ctx.dop = static_cast<int>(state.range(2));
+  ctx.pool = &pool;
+  for (auto _ : state) {
+    Table t = input;
+    benchmark::DoNotOptimize(t.SortDistinct(ctx));
+    benchmark::DoNotOptimize(t.data().data());
+  }
+}
+BENCHMARK(BM_DistinctParallel)
+    ->Args({1 << 21, 0, 1})
+    ->Args({1 << 21, 0, 2})
+    ->Args({1 << 21, 0, 4})
+    ->Args({1 << 21, 1, 1})
+    ->Args({1 << 21, 1, 4});
+
+// Counterpart: the serial std::sort of packed 64-bit keys every Distinct
+// and closure result ran before the kernel (the trailing /1 is dop 1).
+void BM_DistinctStdSort(benchmark::State& state) {
+  size_t n = static_cast<size_t>(state.range(0));
+  Table input = DistinctInput(n, state.range(1) != 0);
+  const std::vector<NodeId>& data = input.data();
+  for (auto _ : state) {
+    std::vector<uint64_t> keys(n);
+    for (size_t r = 0; r < n; ++r) {
+      keys[r] = (static_cast<uint64_t>(data[2 * r]) << 32) | data[2 * r + 1];
+    }
+    std::sort(keys.begin(), keys.end());
+    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+    std::vector<NodeId> out(keys.size() * 2);
+    for (size_t r = 0; r < keys.size(); ++r) {
+      out[2 * r] = static_cast<NodeId>(keys[r] >> 32);
+      out[2 * r + 1] = static_cast<NodeId>(keys[r]);
+    }
+    benchmark::DoNotOptimize(out.data());
+  }
+}
+BENCHMARK(BM_DistinctStdSort)
+    ->Args({1 << 21, 0, 1})
+    ->Args({1 << 21, 1, 1});
+
 void BM_JoinHashSorted(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
   uint32_t domain = KeyDomainFor(n);
@@ -696,7 +776,7 @@ void BM_PlanEnumeration(benchmark::State& state) {
   PropertyGraph graph;
   for (size_t i = 0; i < 2000; ++i) graph.AddNode("N");
   for (int rel = 0; rel < n; ++rel) {
-    std::string label = "e" + std::to_string(rel);
+    std::string label = Numbered("e", rel);
     for (size_t i = 0; i < 4000; ++i) {
       (void)graph.AddEdge(static_cast<NodeId>(rng.Uniform(2000)), label,
                           static_cast<NodeId>(rng.Uniform(2000)));
@@ -706,9 +786,9 @@ void BM_PlanEnumeration(benchmark::State& state) {
   RaExprPtr plan = RaExpr::EdgeScan("e0", "c0", "c1");
   for (int rel = 1; rel < n; ++rel) {
     plan = RaExpr::Join(plan,
-                        RaExpr::EdgeScan("e" + std::to_string(rel),
-                                         "c" + std::to_string(rel),
-                                         "c" + std::to_string(rel + 1)));
+                        RaExpr::EdgeScan(Numbered("e", rel),
+                                         Numbered("c", rel),
+                                         Numbered("c", rel + 1)));
   }
   OptimizerOptions options;
   options.planner = PlannerKind::kDp;

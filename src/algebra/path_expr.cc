@@ -82,8 +82,11 @@ void Print(const PathExpr& e, int parent_prec, std::string* out) {
       break;
     case PathOp::kRepeat:
       Print(*e.left(), prec + 1, out);
-      *out += "{" + std::to_string(e.min_repeat()) + "," +
-              std::to_string(e.max_repeat()) + "}";
+      *out += "{";
+      *out += std::to_string(e.min_repeat());
+      *out += ",";
+      *out += std::to_string(e.max_repeat());
+      *out += "}";
       break;
   }
   if (parens) *out += ")";
@@ -147,8 +150,11 @@ void PrintCanonical(const PathExpr& e, std::string* out) {
     case PathOp::kRepeat: {
       *out += "(";
       PrintCanonical(*e.left(), out);
-      *out += "{" + std::to_string(e.min_repeat()) + "," +
-              std::to_string(e.max_repeat()) + "})";
+      *out += "{";
+      *out += std::to_string(e.min_repeat());
+      *out += ",";
+      *out += std::to_string(e.max_repeat());
+      *out += "})";
       return;
     }
   }

@@ -118,11 +118,17 @@ std::string MergedTriple::ToString() const {
       if (i > 0) out += ",";
       out += labels[i];
     }
-    return out + "}";
+    out += "}";
+    return out;
   };
-  return "(" + set_to_string(source_labels) + ", " +
-         (expr ? expr->ToString() : "<null>") + ", " +
-         set_to_string(target_labels) + ")";
+  std::string out = "(";
+  out += set_to_string(source_labels);
+  out += ", ";
+  out += expr ? expr->ToString() : "<null>";
+  out += ", ";
+  out += set_to_string(target_labels);
+  out += ")";
+  return out;
 }
 
 std::vector<MergedTriple> MergeTriples(const TripleSet& triples) {

@@ -126,6 +126,14 @@ constexpr std::array<EdgeDef, 92> kEdgeDefs = {{
     {"hasMotto", kOrganisation, kProperty},
 }};
 
+// "<prefix><i>", appended rather than built from a temporary (GCC 12
+// reports a false -Wrestrict on `"p" + std::to_string(i)`).
+std::string Numbered(const char* prefix, size_t i) {
+  std::string name = prefix;
+  name += std::to_string(i);
+  return name;
+}
+
 }  // namespace
 
 GraphSchema YagoSchema() {
@@ -172,34 +180,34 @@ PropertyGraph GenerateYago(const YagoConfig& config) {
       events;
   for (size_t i = 0; i < n_person; ++i) {
     persons.push_back(graph.AddNode(
-        kPerson, {{"name", Value::String("p" + std::to_string(i))},
+        kPerson, {{"name", Value::String(Numbered("p", i))},
                   {"age", Value::Int(rng.UniformRange(18, 90))}}));
   }
   for (size_t i = 0; i < n_property; ++i) {
     properties.push_back(graph.AddNode(
         kProperty,
-        {{"address", Value::String("addr" + std::to_string(i))}}));
+        {{"address", Value::String(Numbered("addr", i))}}));
   }
   for (size_t i = 0; i < n_city; ++i) {
     cities.push_back(graph.AddNode(
-        kCity, {{"name", Value::String("city" + std::to_string(i))}}));
+        kCity, {{"name", Value::String(Numbered("city", i))}}));
   }
   for (size_t i = 0; i < n_region; ++i) {
     regions.push_back(graph.AddNode(
-        kRegion, {{"name", Value::String("region" + std::to_string(i))}}));
+        kRegion, {{"name", Value::String(Numbered("region", i))}}));
   }
   for (size_t i = 0; i < n_country; ++i) {
     countries.push_back(graph.AddNode(
-        kCountry, {{"name", Value::String("country" + std::to_string(i))}}));
+        kCountry, {{"name", Value::String(Numbered("country", i))}}));
   }
   for (size_t i = 0; i < n_org; ++i) {
     orgs.push_back(graph.AddNode(
         kOrganisation,
-        {{"name", Value::String("org" + std::to_string(i))}}));
+        {{"name", Value::String(Numbered("org", i))}}));
   }
   for (size_t i = 0; i < n_event; ++i) {
     events.push_back(graph.AddNode(
-        kEvent, {{"name", Value::String("event" + std::to_string(i))}}));
+        kEvent, {{"name", Value::String(Numbered("event", i))}}));
   }
 
   auto add = [&graph](NodeId src, const char* label, NodeId tgt) {

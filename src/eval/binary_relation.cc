@@ -288,9 +288,10 @@ Result<BinaryRelation> BinaryRelation::TransitiveClosure(
     }
     delta.swap(next);
   }
-  // The dedup set guarantees uniqueness; one final packed sort restores
-  // order.
-  SortUniquePairs(&acc);
+  // The dedup set guarantees uniqueness; one final sort restores order.
+  if (!SortUniquePairs(&acc, ctx)) {
+    return AbortStatus(ctx, "transitive closure");
+  }
   return FromSortedUnique(std::move(acc));
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/offsets.h"
+#include "util/sort_unique.h"
 
 namespace gqopt {
 
@@ -24,19 +25,22 @@ CsrView CsrView::Build(const std::vector<Pair>& pairs) {
   return view;
 }
 
+bool SortUniquePairs(std::vector<CsrView::Pair>* pairs,
+                     const ExecContext& ctx) {
+  std::vector<CsrView::Pair>& p = *pairs;
+  // In place: the keys are packed before `resize` shrinks the vector.
+  return SortUniqueTuples(
+      p.size(), 2,
+      [&p](size_t r, size_t c) { return c == 0 ? p[r].first : p[r].second; },
+      ctx, [&p](size_t m) { p.resize(m); },
+      [&p](size_t i, uint32_t a, uint32_t b) { p[i] = {a, b}; });
+}
+
 void SortUniquePairs(std::vector<CsrView::Pair>* pairs) {
-  std::vector<uint64_t> keys(pairs->size());
-  for (size_t i = 0; i < pairs->size(); ++i) {
-    keys[i] = (static_cast<uint64_t>((*pairs)[i].first) << 32) |
-              (*pairs)[i].second;
-  }
-  std::sort(keys.begin(), keys.end());
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-  pairs->resize(keys.size());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    (*pairs)[i] = {static_cast<uint32_t>(keys[i] >> 32),
-                   static_cast<uint32_t>(keys[i])};
-  }
+  ExecContext serial;
+  serial.dop = 1;
+  // No deadline and no memory tracker: the serial run cannot abort.
+  (void)SortUniquePairs(pairs, serial);
 }
 
 }  // namespace gqopt

@@ -18,6 +18,8 @@
 #include <utility>
 #include <vector>
 
+#include "util/exec_context.h"
+
 namespace gqopt {
 
 /// \brief Offset-array view of a sorted pair set, indexed by pair source.
@@ -69,9 +71,14 @@ class CsrView {
   bool indexed_ = true;
 };
 
-/// Sorts `pairs` by (first, second) and drops duplicates, via one flat
-/// sort of packed 64-bit keys — measurably faster than sorting the pair
-/// structs with the default lexicographic comparator.
+/// Sorts `pairs` by (first, second) and drops duplicates through the
+/// radix sort-unique kernel (util/sort_unique.h), parallel when
+/// ctx.EffectiveDop(size) > 1. Returns false on deadline expiry or memory
+/// breach (the caller turns that into AbortStatus).
+bool SortUniquePairs(std::vector<CsrView::Pair>* pairs,
+                     const ExecContext& ctx);
+
+/// Serial, ungoverned SortUniquePairs.
 void SortUniquePairs(std::vector<CsrView::Pair>* pairs);
 
 }  // namespace gqopt

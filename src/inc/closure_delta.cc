@@ -148,7 +148,9 @@ Result<BinaryRelation> ExtendTransitiveClosure(
     }
     delta.swap(next);
   }
-  SortUniquePairs(&acc);
+  if (!SortUniquePairs(&acc, ctx)) {
+    return AbortStatus(ctx, "transitive closure");
+  }
   return BinaryRelation::FromSortedUnique(std::move(acc));
 }
 

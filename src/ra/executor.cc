@@ -527,7 +527,7 @@ Result<Table> Executor::Eval(const RaExpr* e, const ExecContext& ctx) {
       }
       case RaOp::kDistinct: {
         GQOPT_ASSIGN_OR_RETURN(Table child, Eval(e->left().get(), inner));
-        child.SortDistinct();
+        GQOPT_RETURN_NOT_OK(child.SortDistinct(ctx));
         return child;
       }
       case RaOp::kTransitiveClosure:
@@ -1314,7 +1314,9 @@ Result<BinaryRelation> Executor::SeededClosure(const BinaryRelation& base,
     }
     delta.swap(next);
   }
-  SortUniquePairs(&acc);
+  if (!SortUniquePairs(&acc, ctx)) {
+    return AbortStatus(ctx, "seeded closure");
+  }
   return BinaryRelation::FromSortedUnique(std::move(acc));
 }
 

@@ -266,15 +266,15 @@ void RenderExplain(
   std::string rows = rows_buf;
   if (actual_rows != nullptr) {
     auto it = actual_rows->find(&e);
-    rows += it != actual_rows->end() ? "/" + std::to_string(it->second)
-                                     : "/?";
+    rows += '/';
+    rows += it != actual_rows->end() ? std::to_string(it->second) : "?";
   }
   // Materialized result bytes, when the caller recorded them.
   std::string mem;
   if (actual_bytes != nullptr) {
     auto it = actual_bytes->find(&e);
-    mem = ", mem = " + (it != actual_bytes->end() ? HumanBytes(it->second)
-                                                  : std::string("?"));
+    mem = ", mem = ";
+    mem += it != actual_bytes->end() ? HumanBytes(it->second) : "?";
   }
   char buf[160];
   if (e.sorted_prefix() > 0) {

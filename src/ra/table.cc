@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <numeric>
 
+#include "util/sort_unique.h"
+
 namespace gqopt {
 
 int Table::ColumnIndex(const std::string& column) const {
@@ -30,69 +32,115 @@ void Table::MarkSortPrefixFrom(const Table& src, size_t prefix) {
   MarkSortPrefix(prefix, std::move(desc));
 }
 
-void Table::SortDistinct() {
+namespace {
+
+// Distinct over arity-2 rows sorted on an ascending first column: every
+// run of equal first values sorts on its own, so morsels cut at run
+// boundaries sort independently (each through the kernel, serially) and
+// ParallelAppend joins them in order — already the canonical order, with
+// no global scatter pass. A morsel owns the runs that start inside it.
+bool SortRunsDistinct(const NodeId* base, size_t n, const ExecContext& ctx,
+                      std::vector<NodeId>* out) {
+  // The first run boundary at or after row r: r itself, or the end of
+  // the run r falls inside (binary search on the ascending column).
+  auto boundary = [base, n](size_t r) {
+    if (r == 0 || r >= n || base[2 * r] != base[2 * (r - 1)]) return r;
+    NodeId v = base[2 * r];
+    size_t lo = r + 1, hi = n;
+    while (lo < hi) {
+      size_t mid = lo + (hi - lo) / 2;
+      if (base[2 * mid] == v) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    return lo;
+  };
+  int dop = ctx.EffectiveDop(n);
+  ExecContext serial = ctx;
+  serial.dop = 1;
+  return ParallelAppend(
+      dop > 1 ? ctx.TaskPool() : nullptr, dop, n, ParallelGrain(n, dop),
+      ctx.deadline, out, [&](size_t b, size_t e, std::vector<NodeId>* dst) {
+        size_t s = boundary(b);
+        const NodeId* rows = base + 2 * s;
+        size_t at = dst->size();
+        return SortUniqueTuples(
+            boundary(e) - s, 2,
+            [rows](size_t r, size_t c) { return rows[2 * r + c]; }, serial,
+            [dst, at](size_t m) { dst->resize(at + 2 * m); },
+            [dst, at](size_t i, NodeId x, NodeId y) {
+              (*dst)[at + 2 * i] = x;
+              (*dst)[at + 2 * i + 1] = y;
+            });
+      });
+}
+
+}  // namespace
+
+Status Table::SortDistinct(const ExecContext& ctx) {
   size_t n = rows();
   size_t k = arity();
   if (n <= 1 || k == 0) {
     MarkSorted();
-    return;
+    return Status::OK();
   }
-  if (sorted()) {
-    // Already sorted: scan for adjacent duplicates on the const block
-    // first, so distinct-on-distinct (edge scans, closure results) never
-    // clones shared copy-on-write storage.
-    const NodeId* base = block_->data();
-    bool has_dup = false;
-    for (size_t r = 1; r < n && !has_dup; ++r) {
-      has_dup = std::equal(base + (r - 1) * k, base + r * k, base + r * k);
-    }
-    if (!has_dup) return;
-  }
-  bool was_sorted = sorted();
-  std::vector<NodeId>& data = Mutable();
-  if (k == 1) {
-    if (!was_sorted) std::sort(data.begin(), data.end());
-    data.erase(std::unique(data.begin(), data.end()), data.end());
-    MarkSorted();
-    return;
-  }
-  if (k == 2) {
-    // Pack pairs into 64-bit keys: one flat sort instead of an index sort
-    // with a lexicographic comparator.
-    std::vector<uint64_t> keys(n);
-    for (size_t r = 0; r < n; ++r) {
-      keys[r] = (static_cast<uint64_t>(data[2 * r]) << 32) |
-                data[2 * r + 1];
-    }
-    if (!was_sorted) std::sort(keys.begin(), keys.end());
-    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-    data.resize(keys.size() * 2);
-    for (size_t r = 0; r < keys.size(); ++r) {
-      data[2 * r] = static_cast<NodeId>(keys[r] >> 32);
-      data[2 * r + 1] = static_cast<NodeId>(keys[r]);
-    }
-    MarkSorted();
-    return;
-  }
-  std::vector<size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  const NodeId* base = data.data();
-  auto cmp = [base, k](size_t a, size_t b) {
-    return std::lexicographical_compare(base + a * k, base + (a + 1) * k,
-                                        base + b * k, base + (b + 1) * k);
-  };
-  auto eq = [base, k](size_t a, size_t b) {
+  const NodeId* base = block_->data();
+  auto same_row = [base, k](size_t a, size_t b) {
     return std::equal(base + a * k, base + (a + 1) * k, base + b * k);
   };
-  if (!was_sorted) std::sort(order.begin(), order.end(), cmp);
-  order.erase(std::unique(order.begin(), order.end(), eq), order.end());
   std::vector<NodeId> out;
-  out.reserve(order.size() * k);
-  for (size_t row : order) {
-    out.insert(out.end(), base + row * k, base + (row + 1) * k);
+  if (sorted()) {
+    // Already sorted: distinct-on-distinct (edge scans, closure results)
+    // finds no adjacent duplicate and keeps the shared block as is.
+    size_t r = 1;
+    while (r < n && !same_row(r - 1, r)) ++r;
+    if (r == n) return Status::OK();
+    out.assign(base, base + r * k);
+    for (; r < n; ++r) {
+      if (!same_row(r - 1, r)) {
+        out.insert(out.end(), base + r * k, base + (r + 1) * k);
+      }
+    }
+  } else if (k == 2 && ascending_prefix() >= 1) {
+    if (!SortRunsDistinct(base, n, ctx, &out)) {
+      return AbortStatus(ctx, "distinct");
+    }
+  } else if (k <= 2) {
+    bool ok = SortUniqueTuples(
+        n, k, [base, k](size_t r, size_t c) { return base[r * k + c]; }, ctx,
+        [&out, k](size_t m) { out.resize(m * k); },
+        [&out, k](size_t i, NodeId a, NodeId b) {
+          out[i * k] = a;
+          if (k == 2) out[i * k + 1] = b;
+        });
+    if (!ok) return AbortStatus(ctx, "distinct");
+  } else {
+    // Arity 3+: index sort with a lexicographic comparator.
+    std::vector<size_t> order(n);
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(), [base, k](size_t a, size_t b) {
+      return std::lexicographical_compare(base + a * k, base + (a + 1) * k,
+                                          base + b * k, base + (b + 1) * k);
+    });
+    order.erase(std::unique(order.begin(), order.end(), same_row),
+                order.end());
+    if (ctx.deadline.Expired()) return AbortStatus(ctx, "distinct");
+    out.reserve(order.size() * k);
+    for (size_t row : order) {
+      out.insert(out.end(), base + row * k, base + (row + 1) * k);
+    }
   }
-  data = std::move(out);
-  MarkSorted();
+  AdoptSorted(std::move(out));
+  return Status::OK();
+}
+
+void Table::SortDistinct() {
+  ExecContext serial;
+  serial.dop = 1;
+  // No deadline and no memory tracker: the serial run cannot abort.
+  (void)SortDistinct(serial);
 }
 
 Table Table::RenamedTo(std::vector<std::string> columns) const {

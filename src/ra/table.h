@@ -10,6 +10,8 @@
 #include <vector>
 
 #include "graph/property_graph.h"
+#include "util/exec_context.h"
+#include "util/status.h"
 
 namespace gqopt {
 
@@ -59,7 +61,17 @@ class Table {
     return block_->data() + row * arity();
   }
 
-  /// Sorts rows lexicographically and drops duplicates.
+  /// Sorts rows lexicographically and drops duplicates. Reads the
+  /// (possibly shared) block and adopts a new one; never clones first.
+  /// Arity 1 and 2 go through the radix sort-unique kernel
+  /// (util/sort_unique.h), parallel when ctx.EffectiveDop(rows) > 1;
+  /// rows already sorted on an ascending first column sort each run of
+  /// equal first values on its own. The result is the canonical sorted
+  /// set, identical at every dop. Fails with AbortStatus on deadline
+  /// expiry or memory breach, leaving the table unchanged.
+  Status SortDistinct(const ExecContext& ctx);
+
+  /// Serial, ungoverned SortDistinct (tests, result normalization).
   void SortDistinct();
 
   /// Physical ordering property: the number of leading columns the rows
@@ -136,6 +148,12 @@ class Table {
   std::string ToString(size_t max_rows = 20) const;
 
  private:
+  /// Replaces the rows with `data`, marked fully sorted.
+  void AdoptSorted(std::vector<NodeId> data) {
+    block_ = std::make_shared<std::vector<NodeId>>(std::move(data));
+    MarkSorted();
+  }
+
   /// Row storage for writing; clones the block first when shared.
   std::vector<NodeId>& Mutable() {
     if (block_.use_count() > 1) {

@@ -118,7 +118,7 @@ TEST(SqlEmitterTest, ViewWrappersPerDialect) {
   Ucqt q = Parse("x, y <- (x, knows, y)");
   SqlOptions options;
   options.as_view = true;
-  options.view_name = "v";
+  options.view_name = std::string("v");
   options.dialect = SqlDialect::kPostgres;
   EXPECT_TRUE(Contains(*EmitSql(q, options), "CREATE TEMPORARY VIEW v AS"));
   options.dialect = SqlDialect::kMySql;

@@ -8,16 +8,22 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <optional>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "api/database.h"
 #include "api/server.h"
 #include "datasets/yago.h"
 #include "ra/explain.h"
+#include "ra/table.h"
+#include "util/exec_context.h"
 #include "util/fault_injection.h"
 #include "util/mem_tracker.h"
+#include "util/rng.h"
 
 namespace gqopt {
 namespace {
@@ -182,6 +188,38 @@ TEST(MemoryGovernanceTest, ServerBudgetCapsUnlimitedQueries) {
   EXPECT_EQ(db.memory().consumed(), 0);
   auto small = session.Query(kJoinQuery);
   EXPECT_TRUE(small.ok()) << small.status().ToString();
+}
+
+TEST(MemoryGovernanceTest, LargeDistinctAbortsTypedOnBudgetAndDeadline) {
+  // 1M unsorted pairs over the full 32-bit range sort as 64-bit keys:
+  // 8 MB of packed keys, then 8 MB of kernel scratch.
+  Rng rng(23);
+  std::vector<NodeId> data(size_t{2} << 20);
+  for (NodeId& v : data) v = static_cast<NodeId>(rng.Next());
+  const Table input = Table::FromData({"x", "y"}, std::move(data));
+  for (int dop : {1, 4}) {
+    // Below the keys, and between the keys and keys + scratch.
+    for (int64_t budget : {int64_t{4} << 20, int64_t{12} << 20}) {
+      MemoryTracker query(budget, "query");
+      ExecContext ctx;
+      ctx.dop = dop;
+      ctx.mem = &query;
+      Table t = input;
+      Status status = t.SortDistinct(ctx);
+      EXPECT_EQ(ClassifyError(status), QueryStage::kResource)
+          << "dop " << dop << " budget " << budget << ": "
+          << status.ToString();
+      EXPECT_EQ(t.data(), input.data());  // a failed sort changes nothing
+    }
+    ExecContext late;
+    late.dop = dop;
+    late.deadline = Deadline::AfterMillis(1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    Table t = input;
+    Status status = t.SortDistinct(late);
+    EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded)
+        << "dop " << dop << ": " << status.ToString();
+  }
 }
 
 TEST(MemoryGovernanceTest, ResourceErrorsAreNotRetryable) {

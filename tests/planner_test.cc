@@ -36,6 +36,14 @@
 namespace gqopt {
 namespace {
 
+// "<prefix><i>" by append (GCC 12 reports a false -Wrestrict on
+// `"e" + std::to_string(i)`).
+std::string Numbered(const char* prefix, size_t i) {
+  std::string name = prefix;
+  name += std::to_string(i);
+  return name;
+}
+
 OptimizerOptions DpOptions() {
   OptimizerOptions options;
   options.planner = PlannerKind::kDp;
@@ -331,7 +339,7 @@ TEST(PlannerTest, DpPlansTenRelationChainUnderCutoff) {
   PropertyGraph g;
   for (size_t i = 0; i < 500; ++i) g.AddNode("N");
   for (int rel = 0; rel < 10; ++rel) {
-    std::string label = "e" + std::to_string(rel);
+    std::string label = Numbered("e", rel);
     for (size_t i = 0; i < 2000; ++i) {
       (void)g.AddEdge(static_cast<NodeId>(rng.Uniform(500)), label,
                       static_cast<NodeId>(rng.Uniform(500)));
@@ -342,9 +350,9 @@ TEST(PlannerTest, DpPlansTenRelationChainUnderCutoff) {
   RaExprPtr plan = RaExpr::EdgeScan("e0", "c0", "c1");
   for (int rel = 1; rel < 10; ++rel) {
     plan = RaExpr::Join(
-        plan, RaExpr::EdgeScan("e" + std::to_string(rel),
-                               "c" + std::to_string(rel),
-                               "c" + std::to_string(rel + 1)));
+        plan, RaExpr::EdgeScan(Numbered("e", rel),
+                               Numbered("c", rel),
+                               Numbered("c", rel + 1)));
   }
   RaExprPtr dp = OptimizePlan(plan, catalog, DpOptions());
   ASSERT_NE(dp, nullptr);

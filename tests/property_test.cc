@@ -23,6 +23,14 @@
 namespace gqopt {
 namespace {
 
+// "<prefix><i>" by append (GCC 12 reports a false -Wrestrict on
+// `"e" + std::to_string(i)`).
+std::string Numbered(const char* prefix, size_t i) {
+  std::string name = prefix;
+  name += std::to_string(i);
+  return name;
+}
+
 // ---- Random generators -----------------------------------------------------
 
 GraphSchema RandomSchema(Rng* rng) {
@@ -30,12 +38,12 @@ GraphSchema RandomSchema(Rng* rng) {
   size_t num_labels = 3 + rng->Uniform(3);
   std::vector<std::string> labels;
   for (size_t i = 0; i < num_labels; ++i) {
-    labels.push_back("L" + std::to_string(i));
+    labels.push_back(Numbered("L", i));
     schema.AddNodeLabel(labels.back());
   }
   size_t num_edges = 4 + rng->Uniform(4);
   for (size_t i = 0; i < num_edges; ++i) {
-    std::string edge = "e" + std::to_string(i);
+    std::string edge = Numbered("e", i);
     size_t triples = 1 + rng->Uniform(3);
     for (size_t t = 0; t < triples; ++t) {
       schema.AddEdge(rng->Pick(labels), edge, rng->Pick(labels));
@@ -186,7 +194,7 @@ TEST_P(RewritePropertyTest, SimplifierPreservesSemantics) {
   PropertyGraph graph;
   std::vector<NodeId> nodes;
   for (size_t i = 0; i < 8; ++i) {
-    nodes.push_back(graph.AddNode("N" + std::to_string(i % 3)));
+    nodes.push_back(graph.AddNode(Numbered("N", i % 3)));
   }
   for (const std::string& edge : schema.edge_labels()) {
     size_t count = rng.Uniform(10);

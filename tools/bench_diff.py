@@ -45,6 +45,10 @@ PAIRS = [
     # overlay reads and retained plans vs merge-per-write (Compact after
     # each write: base, catalog, statistics and plans rebuilt each time).
     ("BM_MixedReadWriteDelta", "BM_MixedReadWriteRebuild"),
+    # Distinct through the radix sort-unique kernel at dop 1 vs the serial
+    # std::sort of packed keys it replaced (2M arity-2 rows, unsorted and
+    # sorted on the first column; suffix /N/prefix/1).
+    ("BM_DistinctParallel", "BM_DistinctStdSort"),
 ]
 
 # Pairs whose clients block on the server's worker pool (UseRealTime):
@@ -59,6 +63,7 @@ REAL_TIME_PAIRS = {"BM_ServingThroughputCached"}
 SELF_PARALLEL = [
     "BM_JoinRadixParallel",
     "BM_ClosureParallel",
+    "BM_DistinctParallel",
 ]
 
 
