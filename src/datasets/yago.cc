@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "util/rng.h"
+#include "util/strings.h"
 
 namespace gqopt {
 namespace {
@@ -125,14 +126,6 @@ constexpr std::array<EdgeDef, 92> kEdgeDefs = {{
     {"hasEmbassyIn", kCountry, kCity},
     {"hasMotto", kOrganisation, kProperty},
 }};
-
-// "<prefix><i>", appended rather than built from a temporary (GCC 12
-// reports a false -Wrestrict on `"p" + std::to_string(i)`).
-std::string Numbered(const char* prefix, size_t i) {
-  std::string name = prefix;
-  name += std::to_string(i);
-  return name;
-}
 
 }  // namespace
 

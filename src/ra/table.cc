@@ -32,53 +32,6 @@ void Table::MarkSortPrefixFrom(const Table& src, size_t prefix) {
   MarkSortPrefix(prefix, std::move(desc));
 }
 
-namespace {
-
-// Distinct over arity-2 rows sorted on an ascending first column: every
-// run of equal first values sorts on its own, so morsels cut at run
-// boundaries sort independently (each through the kernel, serially) and
-// ParallelAppend joins them in order — already the canonical order, with
-// no global scatter pass. A morsel owns the runs that start inside it.
-bool SortRunsDistinct(const NodeId* base, size_t n, const ExecContext& ctx,
-                      std::vector<NodeId>* out) {
-  // The first run boundary at or after row r: r itself, or the end of
-  // the run r falls inside (binary search on the ascending column).
-  auto boundary = [base, n](size_t r) {
-    if (r == 0 || r >= n || base[2 * r] != base[2 * (r - 1)]) return r;
-    NodeId v = base[2 * r];
-    size_t lo = r + 1, hi = n;
-    while (lo < hi) {
-      size_t mid = lo + (hi - lo) / 2;
-      if (base[2 * mid] == v) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    return lo;
-  };
-  int dop = ctx.EffectiveDop(n);
-  ExecContext serial = ctx;
-  serial.dop = 1;
-  return ParallelAppend(
-      dop > 1 ? ctx.TaskPool() : nullptr, dop, n, ParallelGrain(n, dop),
-      ctx.deadline, out, [&](size_t b, size_t e, std::vector<NodeId>* dst) {
-        size_t s = boundary(b);
-        const NodeId* rows = base + 2 * s;
-        size_t at = dst->size();
-        return SortUniqueTuples(
-            boundary(e) - s, 2,
-            [rows](size_t r, size_t c) { return rows[2 * r + c]; }, serial,
-            [dst, at](size_t m) { dst->resize(at + 2 * m); },
-            [dst, at](size_t i, NodeId x, NodeId y) {
-              (*dst)[at + 2 * i] = x;
-              (*dst)[at + 2 * i + 1] = y;
-            });
-      });
-}
-
-}  // namespace
-
 Status Table::SortDistinct(const ExecContext& ctx) {
   size_t n = rows();
   size_t k = arity();
@@ -102,10 +55,6 @@ Status Table::SortDistinct(const ExecContext& ctx) {
       if (!same_row(r - 1, r)) {
         out.insert(out.end(), base + r * k, base + (r + 1) * k);
       }
-    }
-  } else if (k == 2 && ascending_prefix() >= 1) {
-    if (!SortRunsDistinct(base, n, ctx, &out)) {
-      return AbortStatus(ctx, "distinct");
     }
   } else if (k <= 2) {
     bool ok = SortUniqueTuples(

@@ -64,10 +64,8 @@ class Table {
   /// Sorts rows lexicographically and drops duplicates. Reads the
   /// (possibly shared) block and adopts a new one; never clones first.
   /// Arity 1 and 2 go through the radix sort-unique kernel
-  /// (util/sort_unique.h), parallel when ctx.EffectiveDop(rows) > 1;
-  /// rows already sorted on an ascending first column sort each run of
-  /// equal first values on its own. The result is the canonical sorted
-  /// set, identical at every dop. Fails with AbortStatus on deadline
+  /// (util/sort_unique.h), parallel when ctx.EffectiveDop(rows) > 1.
+  /// The result is the canonical sorted set, identical at every dop. Fails with AbortStatus on deadline
   /// expiry or memory breach, leaving the table unchanged.
   Status SortDistinct(const ExecContext& ctx);
 

@@ -58,4 +58,12 @@ bool IsIdentifier(std::string_view name) {
   return true;
 }
 
+std::string Numbered(std::string_view prefix, size_t i) {
+  // Appended rather than built as `prefix + std::to_string(i)`: GCC 12
+  // reports a false -Wrestrict on that temporary.
+  std::string name(prefix);
+  name += std::to_string(i);
+  return name;
+}
+
 }  // namespace gqopt

@@ -3,6 +3,7 @@
 #ifndef GQOPT_UTIL_STRINGS_H_
 #define GQOPT_UTIL_STRINGS_H_
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -24,6 +25,9 @@ bool StartsWith(std::string_view text, std::string_view prefix);
 
 /// True when `name` is a valid identifier ([A-Za-z_][A-Za-z0-9_]*).
 bool IsIdentifier(std::string_view name);
+
+/// "<prefix><i>", e.g. Numbered("e", 3) == "e3".
+std::string Numbered(std::string_view prefix, size_t i);
 
 }  // namespace gqopt
 

@@ -15,6 +15,7 @@
 #include <deque>
 #include <exception>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -101,6 +102,8 @@ class ThreadPool {
 /// once per morsel claim. Returns true iff every morsel ran and returned
 /// true. A body exception aborts the loop and is rethrown here, on the
 /// caller's thread, after all workers have stopped touching shared state.
+/// The caller never waits for a helper task that had not started by the
+/// time the morsels ran out: it is skipped when the pool gets to it.
 ///
 /// Morsel boundaries depend only on (n, grain), never on scheduling, so
 /// `outs[begin / grain]`-style per-morsel buffers concatenated in index
@@ -115,7 +118,7 @@ bool ParallelFor(ThreadPool* pool, int dop, size_t n, size_t grain,
   if (pool == nullptr) workers = 1;
   workers = std::min({workers, morsels, pool ? pool->size() + 1 : size_t{1}});
 
-  if (workers <= 1) {
+  if (workers <= 1 || pool == nullptr) {
     for (size_t b = 0; b < n; b += grain) {
       if (deadline.Expired()) return false;
       if (!body(b, std::min(b + grain, n))) return false;
@@ -123,50 +126,63 @@ bool ParallelFor(ThreadPool* pool, int dop, size_t n, size_t grain,
     return true;
   }
 
+  // Heap-held so a helper task dequeued after the caller returned can
+  // still read `closed` and leave without touching the caller's frame.
   struct Shared {
     std::atomic<size_t> next{0};
     std::atomic<bool> failed{false};
     std::mutex mu;
     std::condition_variable done;
-    size_t pending = 0;
+    bool closed = false;  // caller ran out of morsels: helpers stay out
+    size_t running = 0;   // helpers inside `work`
     std::exception_ptr error;
-  } shared;
+  };
+  auto shared = std::make_shared<Shared>();
+  Shared& st = *shared;
 
-  auto work = [&shared, &deadline, &body, n, grain] {
-    while (!shared.failed.load(std::memory_order_relaxed)) {
-      size_t b = shared.next.fetch_add(grain, std::memory_order_relaxed);
+  auto work = [&st, &deadline, &body, n, grain] {
+    while (!st.failed.load(std::memory_order_relaxed)) {
+      size_t b = st.next.fetch_add(grain, std::memory_order_relaxed);
       if (b >= n) break;
       if (deadline.Expired()) {
-        shared.failed.store(true, std::memory_order_relaxed);
+        st.failed.store(true, std::memory_order_relaxed);
         break;
       }
       try {
         if (!body(b, std::min(b + grain, n))) {
-          shared.failed.store(true, std::memory_order_relaxed);
+          st.failed.store(true, std::memory_order_relaxed);
         }
       } catch (...) {
-        std::lock_guard<std::mutex> lock(shared.mu);
-        if (!shared.error) shared.error = std::current_exception();
-        shared.failed.store(true, std::memory_order_relaxed);
+        std::lock_guard<std::mutex> lock(st.mu);
+        if (!st.error) st.error = std::current_exception();
+        st.failed.store(true, std::memory_order_relaxed);
       }
     }
   };
 
-  shared.pending = workers - 1;
+  // The caller waits only for helpers that started before it ran out of
+  // morsels. A helper still queued (preempted worker, busy pool) finds
+  // `closed` and returns, so a late wake-up never stalls the loop.
   for (size_t i = 0; i + 1 < workers; ++i) {
-    pool->Submit([&shared, &work] {
+    pool->Submit([shared, &work] {
+      {
+        std::lock_guard<std::mutex> lock(shared->mu);
+        if (shared->closed) return;
+        ++shared->running;
+      }
       work();
-      std::lock_guard<std::mutex> lock(shared.mu);
-      if (--shared.pending == 0) shared.done.notify_one();
+      std::lock_guard<std::mutex> lock(shared->mu);
+      if (--shared->running == 0) shared->done.notify_one();
     });
   }
   work();
   {
-    std::unique_lock<std::mutex> lock(shared.mu);
-    shared.done.wait(lock, [&shared] { return shared.pending == 0; });
+    std::unique_lock<std::mutex> lock(st.mu);
+    st.closed = true;
+    st.done.wait(lock, [&st] { return st.running == 0; });
   }
-  if (shared.error) std::rethrow_exception(shared.error);
-  return !shared.failed.load(std::memory_order_relaxed);
+  if (st.error) std::rethrow_exception(st.error);
+  return !st.failed.load(std::memory_order_relaxed);
 }
 
 /// ParallelFor variant for operators whose morsels append variable-length

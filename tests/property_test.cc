@@ -19,17 +19,10 @@
 #include "ra/catalog.h"
 #include "ra/executor.h"
 #include "util/rng.h"
+#include "util/strings.h"
 
 namespace gqopt {
 namespace {
-
-// "<prefix><i>" by append (GCC 12 reports a false -Wrestrict on
-// `"e" + std::to_string(i)`).
-std::string Numbered(const char* prefix, size_t i) {
-  std::string name = prefix;
-  name += std::to_string(i);
-  return name;
-}
 
 // ---- Random generators -----------------------------------------------------
 

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -152,6 +155,36 @@ TEST(ParallelForTest, ExceptionStillDrainsWorkers) {
         std::runtime_error);
   }
 }
+
+TEST(ParallelForTest, DoesNotWaitForHelpersThatNeverStarted) {
+  // The pool's only worker is blocked, so the helper task ParallelFor
+  // enqueues cannot start: the caller runs every morsel itself and must
+  // return without waiting for it. The helper runs after the release
+  // and finds nothing left to do.
+  std::mutex mu;  // declared before the pool, so they outlive its worker
+  std::condition_variable cv;
+  bool release = false;
+  ThreadPool pool(1);
+  pool.Submit([&] {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return release; });
+  });
+  size_t n = 1000;
+  std::vector<int> hits(n, 0);
+  bool ok = ParallelFor(&pool, 2, n, 10, Deadline(),
+                        [&](size_t b, size_t e) {
+                          for (size_t i = b; i < e; ++i) ++hits[i];
+                          return true;
+                        });
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(std::count(hits.begin(), hits.end(), 1),
+            static_cast<std::ptrdiff_t>(n));
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+}  // ~ThreadPool runs the stale helper, which must touch nothing freed
 
 TEST(ExecContextTest, EffectiveDopDegrades) {
   ExecContext serial;
